@@ -66,10 +66,10 @@
 //     length-prefixed frames over internal/service/binwire varint
 //     primitives, delta-encoded point batches, signature handles that
 //     skip re-sending plan specs, and streamed chunk-frame responses.
-//     One shared handler core keeps both codecs semantically identical
-//     (parity tests pin it); the binary path serves 6-10x the JSON
-//     codec's lookups/s end to end (BENCH_<date>_wire.json, cmd/bench
-//     -wire).
+//     One handler per endpoint, answering through a codec interface,
+//     keeps both formats semantically identical (parity tests pin it);
+//     the binary path serves 6-10x the JSON codec's lookups/s end to
+//     end (BENCH_<date>_wire.json, cmd/bench -wire).
 //
 // # Telemetry
 //

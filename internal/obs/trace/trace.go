@@ -1,7 +1,7 @@
 // Package trace is a low-overhead span recorder for epoch-propagation
 // tracing (DESIGN.md §14). A Recorder samples requests at a configurable
 // 1-in-N rate (with a forced path for always-sample-on-slow), hands out
-// pooled *Trace builders stamped with monotonic timestamps, and publishes
+// *Trace builders stamped with monotonic timestamps, and publishes
 // finished traces into a lock-free ring buffer of recent traces that
 // /debug/traces renders as JSON.
 //
@@ -160,7 +160,7 @@ func (t *Trace) span(s Span) {
 }
 
 // View is an immutable copy of a Trace taken under its lock, safe to
-// render after the original has been recycled.
+// render while the original keeps recording.
 type View struct {
 	// TraceID is the 32-hex-digit trace ID.
 	TraceID string `json:"trace_id"`
@@ -214,7 +214,6 @@ type Recorder struct {
 	rng   atomic.Uint64 // splitmix64 state for ID generation
 	seq   atomic.Uint64 // next ring slot
 	ring  []atomic.Pointer[Trace]
-	pool  sync.Pool
 
 	// Started counts sampled or forced traces handed out.
 	Started atomic.Uint64
@@ -236,7 +235,6 @@ func NewRecorder(sampleEvery, ringSize int) *Recorder {
 	r := &Recorder{ring: make([]atomic.Pointer[Trace], ringSize)}
 	r.every.Store(int64(sampleEvery))
 	r.rng.Store(uint64(time.Now().UnixNano()) | 1)
-	r.pool.New = func() any { return &Trace{spans: make([]Span, 0, 16)} }
 	return r
 }
 
@@ -313,19 +311,10 @@ func (r *Recorder) Join(kind string, id ID, parent SpanID) *Trace {
 }
 
 func (r *Recorder) start(kind string, id ID, parent SpanID, remote, forced bool) *Trace {
-	t := r.pool.Get().(*Trace)
-	t.mu.Lock()
-	t.id = id
-	t.root = r.NewSpanID()
-	t.parent = parent
-	t.kind = kind
-	t.start = time.Now()
-	t.endNs = 0
-	t.remote = remote
-	t.forced = forced
-	t.spans = t.spans[:0]
-	t.dropped = 0
-	t.mu.Unlock()
+	// A sampled trace is allocated fresh, never recycled: a late
+	// deliver span may still hold a trace the ring has evicted.
+	t := &Trace{id: id, root: r.NewSpanID(), parent: parent, kind: kind,
+		start: time.Now(), remote: remote, forced: forced, spans: make([]Span, 0, 16)}
 	r.Started.Add(1)
 	return t
 }
@@ -343,8 +332,7 @@ func (r *Recorder) StartAt(kind string, start time.Time) *Trace {
 
 // Finish stamps the trace duration and publishes it into the ring.
 // No-op when t is nil. The trace remains append-able after Finish so
-// late delivery spans can attach; the evicted ring occupant is recycled
-// through the pool.
+// late delivery spans can attach.
 func (r *Recorder) Finish(t *Trace) {
 	if t == nil {
 		return
@@ -353,20 +341,8 @@ func (r *Recorder) Finish(t *Trace) {
 	t.endNs = int64(time.Since(t.start))
 	t.mu.Unlock()
 	slot := (r.seq.Add(1) - 1) % uint64(len(r.ring))
-	old := r.ring[slot].Swap(t)
+	r.ring[slot].Store(t)
 	r.Finished.Add(1)
-	if old != nil {
-		r.pool.Put(old)
-	}
-}
-
-// Abandon returns an unpublished trace to the pool without recording
-// it. No-op when t is nil.
-func (r *Recorder) Abandon(t *Trace) {
-	if t == nil {
-		return
-	}
-	r.pool.Put(t)
 }
 
 // Snapshot copies the ring's current traces, newest first. Each trace

@@ -89,7 +89,6 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	}
 	r := NewRecorder(0, 4)
 	r.Finish(nil)
-	r.Abandon(nil)
 	allocs := testing.AllocsPerRun(100, func() {
 		tr := r.Start("req")
 		tr.Span("decode", 0, tr.Clock())

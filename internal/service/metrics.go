@@ -287,8 +287,8 @@ type reqTrace struct {
 	decodeNs, engineNs, encodeNs time.Duration
 	// span is the request's sampled trace (nil for the unsampled
 	// majority). The wrapper starts it — from the sampling draw or a
-	// propagated traceparent — and finishes it; the binary handlers may
-	// set it themselves when they find a FrameTraceExt in the body.
+	// propagated traceparent — and finishes it; the binary codec may
+	// set it itself when it finds a FrameTraceExt in the body.
 	span *trace.Trace
 }
 
@@ -381,15 +381,16 @@ func phaseSpans(sp *trace.Trace, tr *reqTrace) {
 // instrument wraps an endpoint handler with the uniform telemetry:
 // codec negotiation, status capture, end-to-end timing, trace sampling
 // and traceparent propagation, and the observe/slow-log calls. Handlers
-// receive the pooled trace to fill in signature, batch size, and phase
+// receive the request's codec, picked here once from the Content-Type,
+// and the pooled trace to fill in signature, batch size, and phase
 // times. A request that lost the sampling draw but crossed the slow
 // threshold gets a trace synthesized from its phase times
 // (always-sample-on-slow), so every slow-log line links to a span tree.
-func (s *Server) instrument(ep int, h func(w http.ResponseWriter, r *http.Request, tr *reqTrace)) http.HandlerFunc {
+func (s *Server) instrument(ep int, h func(w http.ResponseWriter, r *http.Request, cd codec, tr *reqTrace)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		codec := codecJSON
+		ci := codecJSON
 		if isBinaryRequest(r) {
-			codec = codecBin
+			ci = codecBin
 		}
 		tr := s.traces.Get().(*reqTrace)
 		*tr = reqTrace{}
@@ -411,9 +412,9 @@ func (s *Server) instrument(ep int, h func(w http.ResponseWriter, r *http.Reques
 		}
 		sr := statusRecorder{ResponseWriter: w, status: 200}
 		start := time.Now()
-		h(&sr, r, tr)
+		h(&sr, r, s.codecs[ci], tr)
 		total := time.Since(start)
-		s.met.observe(ep, codec, sr.status, total, tr)
+		s.met.observe(ep, ci, sr.status, total, tr)
 		span := tr.span
 		if span != nil {
 			phaseSpans(span, tr)
@@ -431,7 +432,7 @@ func (s *Server) instrument(ep int, h func(w http.ResponseWriter, r *http.Reques
 			}
 			s.met.slowLog(SlowRequest{
 				Endpoint:    epNames[ep],
-				Codec:       codecNames[codec],
+				Codec:       codecNames[ci],
 				Signature:   tr.sig,
 				BatchPoints: tr.batch,
 				Status:      sr.status,

@@ -13,14 +13,16 @@
 //     dense coset tables with zero allocations per query in steady state
 //     (the caller reuses the destination slice). Compiled plans are
 //     immutable, so any number of goroutines may query one concurrently.
-//   - Wire layer (wire.go, server.go): a compact JSON request/response
-//     format and the HTTP handlers behind cmd/latticed.
+//   - Wire layer (wire.go, server.go, subscribe.go): a compact JSON
+//     request/response format, the HTTP handlers behind cmd/latticed —
+//     one per endpoint, for both wire formats — and the codec interface
+//     they answer through, with its JSON implementation.
 //   - Binary wire layer (binary.go, binary_mutate.go, server_binary.go,
-//     over the binwire subpackage's framing primitives): a
-//     length-prefixed varint protocol served by the same handlers,
-//     negotiated by Content-Type (BinaryContentType), with streamed
-//     chunked responses and the same Limits-bounded decode funnels as
-//     the JSON plane.
+//     subscribe_binary.go, over the binwire subpackage's framing
+//     primitives): a length-prefixed varint protocol and its codec
+//     implementation, negotiated by Content-Type (BinaryContentType),
+//     with streamed chunked responses and the same Limits-bounded
+//     decode funnels as the JSON plane.
 //
 // See DESIGN.md §5 for the subsystem's contracts.
 package service

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"tilingsched/internal/dynamic"
 	"tilingsched/internal/lattice"
 	"tilingsched/internal/obs/trace"
+	"tilingsched/internal/service/binwire"
 )
 
 // ServerOptions bounds a server's per-request work. Zero values select
@@ -82,8 +82,9 @@ type Server struct {
 	opts       ServerOptions
 	mux        *http.ServeMux
 	bufs       sync.Pool // of *queryBuf
-	binScratch sync.Pool // of *BinScratch (binary decode arenas)
+	binScratch sync.Pool // of *BinScratch (batch decode arenas)
 	traces     sync.Pool // of *reqTrace
+	codecs     [numCodecs]codec
 	sessions   *sessionTable
 	met        *Metrics
 	rec        *trace.Recorder
@@ -124,23 +125,15 @@ func (s *Server) Snapshot() ServerStats {
 	}
 }
 
-// queryBuf carries one request's scratch slices between pool uses.
-// body is the binary path's raw-request buffer (the JSON decoder reads
-// through its own machinery).
+// queryBuf carries one request's scratch slices between pool uses: the
+// raw request body, the engine's answers (one chunk at a time on the
+// window path), and the JSON codec's collected batch answer.
 type queryBuf struct {
-	pts   []lattice.Point
-	slots []int32
-	may   []bool
-	body  []byte
-}
-
-// putBuf returns buf to the pool, dropping the point aliases into the
-// last request's decoded coordinate arrays so the pool does not pin
-// request bodies.
-func (s *Server) putBuf(buf *queryBuf) {
-	clear(buf.pts[:cap(buf.pts)])
-	buf.pts = buf.pts[:0]
-	s.bufs.Put(buf)
+	body     []byte
+	slots    []int32
+	may      []bool
+	allSlots []int32
+	allMay   []bool
 }
 
 // NewServer builds the HTTP handler over the registry.
@@ -162,6 +155,8 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 	}
 	s := &Server{reg: reg, opts: opts, mux: http.NewServeMux(), met: newServerMetrics(opts)}
 	s.rec = trace.NewRecorder(opts.TraceSampleEvery, opts.TraceRing)
+	lim := Limits{MaxBatch: opts.MaxBatch, MaxWindow: opts.MaxWindow}
+	s.codecs = [numCodecs]codec{codecJSON: jsonCodec{lim}, codecBin: binCodec{lim, s.rec}}
 	s.sessions = newSessionTable(opts.MaxSessions, s.met)
 	s.sessions.logf = opts.Logf
 	reg.instrument(s.met)
@@ -169,8 +164,8 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 	s.binScratch.New = func() any { return new(BinScratch) }
 	s.traces.New = func() any { return new(reqTrace) }
 	s.mux.HandleFunc("POST /v1/plan", s.instrument(epPlan, s.handlePlan))
-	s.mux.HandleFunc("POST /v1/slots:batch", s.instrument(epSlots, s.handleSlots))
-	s.mux.HandleFunc("POST /v1/maybroadcast:batch", s.instrument(epMay, s.handleMay))
+	s.mux.HandleFunc("POST /v1/slots:batch", s.instrument(epSlots, s.handleBatch(false)))
+	s.mux.HandleFunc("POST /v1/maybroadcast:batch", s.instrument(epMay, s.handleBatch(true)))
 	s.mux.HandleFunc("POST /v1/plan:mutate", s.instrument(epMutate, s.handleMutate))
 	s.mux.HandleFunc("POST /v1/plan:subscribe", s.instrument(epSubscribe, s.handleSubscribe))
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -243,63 +238,45 @@ func (s *Server) RestoreSessions() (int, error) {
 // find or seed the session for (signature, window), apply the event
 // batch under the session lock, and answer the post-batch epoch with the
 // slot deltas. A stale request epoch is a 409 carrying the current epoch
-// so the client can resync (re-request with "full": true).
-func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, tr *reqTrace) {
-	if isBinaryRequest(r) {
-		s.handleMutateBin(w, r, tr)
-		return
-	}
+// so the client can resync (re-request with full set).
+func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, cd codec, tr *reqTrace) {
 	s.mutateRequests.Add(1)
 	decodeStart := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, status, fmt.Sprintf("reading request: %v", err))
+	buf := s.bufs.Get().(*queryBuf)
+	defer s.bufs.Put(buf)
+	if !s.readBody(w, r, cd, buf) {
 		return
 	}
-	req, win, events, err := DecodeMutateRequest(body, s.limits())
+	req, err := cd.decodeMutate(buf.body, tr)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrLimit) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, status, err.Error())
+		cd.writeErr(w, wireStatus(err), err.Error())
 		return
 	}
-	plan, ok := s.getPlan(w, req.Plan)
+	plan, ok := s.plan(w, cd, req.Plan)
 	if !ok {
 		return
 	}
 	tr.sig = plan.Signature()
-	tr.batch = len(events)
+	tr.batch = len(req.Events)
 	tr.decodeNs = time.Since(decodeStart)
-	if win.Dim() != plan.Tile().Dim() {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Sprintf("window dimension %d ≠ plan dimension %d", win.Dim(), plan.Tile().Dim()))
+	if req.Window.Dim() != plan.Tile().Dim() {
+		cd.writeErr(w, http.StatusBadRequest,
+			fmt.Sprintf("window dimension %d ≠ plan dimension %d", req.Window.Dim(), plan.Tile().Dim()))
 		return
 	}
-	var epoch uint64
-	if req.Epoch != nil {
-		epoch = *req.Epoch
-	}
 	engineStart := time.Now()
-	resp, status, cerr := s.mutateCore(plan, win, req.Epoch != nil, epoch, req.Full, events, tr.span)
+	resp, status, cerr := s.mutateCore(plan, req.Window, req.HasEpoch, req.Epoch, req.Full, req.Events, tr.span)
 	tr.engineNs = time.Since(engineStart)
 	if cerr != nil {
-		writeErr(w, status, cerr.Error())
+		cd.writeErr(w, status, cerr.Error())
 		return
 	}
 	encodeStart := time.Now()
-	writeJSON(w, status, resp)
+	cd.writeMutate(w, status, resp)
 	tr.encodeNs = time.Since(encodeStart)
 }
 
-// mutateCore is the codec-independent mutate path shared by the JSON
-// and binary handlers: find or seed the session for (plan, window),
+// mutateCore is the session half of the mutate endpoint: find or seed the session for (plan, window),
 // apply the event batch under the session lock, and assemble the
 // response. Returns the response and its HTTP status (200, 400 on a
 // partial apply, 409 on a stale epoch — the conflict response carries
@@ -443,13 +420,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Traffic: s.Snapshot()})
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, tr *reqTrace) {
+// handlePlan compiles (or fetches) a plan and describes it. The plan
+// endpoint is JSON-only, whatever the request's Content-Type.
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, _ codec, tr *reqTrace) {
 	decodeStart := time.Now()
 	var req PlanRequest
-	if !s.decode(w, r, &req) {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBody)).Decode(&req); err != nil {
+		writeErr(w, bodyStatus(err), fmt.Sprintf("decoding request: %v", err))
 		return
 	}
-	plan, ok := s.getPlan(w, req.Plan)
+	plan, ok := s.plan(w, s.codecs[codecJSON], BinPlanRef{Spec: req.Plan})
 	if !ok {
 		return
 	}
@@ -480,148 +460,140 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, tr *reqTrace
 	tr.encodeNs = time.Since(encodeStart)
 }
 
-func (s *Server) handleSlots(w http.ResponseWriter, r *http.Request, tr *reqTrace) {
-	if isBinaryRequest(r) {
-		s.handleBatchBin(w, r, false, tr)
-		return
-	}
-	decodeStart := time.Now()
-	req, win, ok := s.decodeBatch(w, r)
-	if !ok {
-		return
-	}
-	plan, ok := s.getPlan(w, req.Plan)
-	if !ok {
-		return
-	}
-	tr.sig = plan.Signature()
-	tr.decodeNs = time.Since(decodeStart)
-	buf := s.bufs.Get().(*queryBuf)
-	defer s.putBuf(buf)
-	engineStart := time.Now()
-	var err error
-	if win != nil {
-		buf.slots, err = QueryWindowSlots(plan, *win, buf.slots[:0])
-	} else {
-		buf.slots, err = QuerySlots(plan, buf.points(req.Points), buf.slots[:0])
-	}
-	tr.engineNs = time.Since(engineStart)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.batchRequests.Add(1)
-	s.batchPoints.Add(int64(len(buf.slots)))
-	tr.batch = len(buf.slots)
-	encodeStart := time.Now()
-	writeJSON(w, http.StatusOK, SlotsResponse{M: plan.Slots(), Slots: buf.slots})
-	tr.encodeNs = time.Since(encodeStart)
-}
-
-func (s *Server) handleMay(w http.ResponseWriter, r *http.Request, tr *reqTrace) {
-	if isBinaryRequest(r) {
-		s.handleBatchBin(w, r, true, tr)
-		return
-	}
-	decodeStart := time.Now()
-	req, win, ok := s.decodeBatch(w, r)
-	if !ok {
-		return
-	}
-	plan, ok := s.getPlan(w, req.Plan)
-	if !ok {
-		return
-	}
-	tr.sig = plan.Signature()
-	tr.decodeNs = time.Since(decodeStart)
-	buf := s.bufs.Get().(*queryBuf)
-	defer s.putBuf(buf)
-	engineStart := time.Now()
-	var err error
-	if win != nil {
-		buf.may, err = QueryWindowMayBroadcast(plan, *win, req.T, buf.may[:0])
-	} else {
-		buf.may, err = QueryMayBroadcast(plan, buf.points(req.Points), req.T, buf.may[:0])
-	}
-	tr.engineNs = time.Since(engineStart)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.batchRequests.Add(1)
-	s.batchPoints.Add(int64(len(buf.may)))
-	tr.batch = len(buf.may)
-	encodeStart := time.Now()
-	writeJSON(w, http.StatusOK, MayResponse{M: plan.Slots(), T: req.T, May: buf.may})
-	tr.encodeNs = time.Since(encodeStart)
-}
-
-// points adapts wire coordinates to lattice points in the pooled scratch
-// slice; the coordinate arrays are aliased, not copied.
-func (b *queryBuf) points(coords [][]int) []lattice.Point {
-	b.pts = b.pts[:0]
-	for _, c := range coords {
-		b.pts = append(b.pts, lattice.Point(c))
-	}
-	return b.pts
-}
-
-// decode reads the JSON request body into dst, answering 400 on
-// malformed bodies and 413 on oversized ones (matching decodeBatch).
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
+// handleBatch serves the slots (may false) and may-broadcast (may true)
+// endpoints in either codec: decode, resolve the plan, pre-check the
+// query dimension so the engine cannot fail once the answer has begun,
+// then stream the head, the answers in chunks of binChunkPoints, and
+// the end. On the window path the engine fills one chunk at a time, so
+// a binary answer never materializes at once.
+func (s *Server) handleBatch(may bool) func(http.ResponseWriter, *http.Request, codec, *reqTrace) {
+	return func(w http.ResponseWriter, r *http.Request, cd codec, tr *reqTrace) {
+		decodeStart := time.Now()
+		buf := s.bufs.Get().(*queryBuf)
+		defer s.bufs.Put(buf)
+		if !s.readBody(w, r, cd, buf) {
+			return
 		}
-		writeErr(w, status, fmt.Sprintf("decoding request: %v", err))
+		sc := s.binScratch.Get().(*BinScratch)
+		defer func() {
+			sc.Release()
+			s.binScratch.Put(sc)
+		}()
+		req, err := cd.decodeBatch(buf.body, may, tr, sc)
+		if err != nil {
+			cd.writeErr(w, wireStatus(err), err.Error())
+			return
+		}
+		plan, ok := s.plan(w, cd, req.Plan)
+		if !ok {
+			return
+		}
+		// Both decode funnels guarantee one dimension per batch, so this
+		// one check means the engine cannot fail after the head.
+		total, dim := len(req.Points), 0
+		if req.UseWindow {
+			total, dim = req.Window.Size(), req.Window.Dim()
+		} else if total > 0 {
+			dim = len(req.Points[0])
+		}
+		if dim != plan.Tile().Dim() {
+			cd.writeErr(w, http.StatusBadRequest,
+				fmt.Sprintf("query dimension %d ≠ plan dimension %d", dim, plan.Tile().Dim()))
+			return
+		}
+		s.batchRequests.Add(1)
+		s.batchPoints.Add(int64(total))
+		tr.sig = plan.Signature()
+		tr.batch = total
+		tr.decodeNs = time.Since(decodeStart)
+		engineStart := time.Now()
+		st := stream{w: w, buf: buf, may: may}
+		defer st.release()
+		cd.batchHead(&st, plan.Slots(), req.T, total)
+		if may {
+			emit := func(v []bool) bool { return cd.mayChunk(&st, v) }
+			if req.UseWindow {
+				err = QueryWindowMayChunked(plan, req.Window, req.T, binChunkPoints, buf.may[:0], emit)
+			} else if buf.may, err = QueryMayBroadcast(plan, req.Points, req.T, buf.may[:0]); err == nil {
+				emitChunks(buf.may, emit)
+			}
+		} else {
+			emit := func(v []int32) bool { return cd.slotsChunk(&st, v) }
+			if req.UseWindow {
+				err = QueryWindowSlotsChunked(plan, req.Window, binChunkPoints, buf.slots[:0], emit)
+			} else if buf.slots, err = QuerySlots(plan, req.Points, buf.slots[:0]); err == nil {
+				emitChunks(buf.slots, emit)
+			}
+		}
+		tr.engineNs = time.Since(engineStart)
+		if err != nil {
+			// Unreachable after the dimension pre-check, but should the
+			// engine fail before any byte went out, answer properly;
+			// mid-stream the missing end is the client's signal.
+			if !st.wrote {
+				cd.writeErr(w, http.StatusBadRequest, err.Error())
+			}
+			return
+		}
+		encodeStart := time.Now()
+		cd.batchEnd(&st)
+		tr.encodeNs = time.Since(encodeStart)
+	}
+}
+
+// emitChunks hands ans to emit in runs of at most binChunkPoints,
+// stopping once emit reports the client gone.
+func emitChunks[T any](ans []T, emit func([]T) bool) {
+	for off := 0; off < len(ans); off += binChunkPoints {
+		if !emit(ans[off:min(off+binChunkPoints, len(ans))]) {
+			return
+		}
+	}
+}
+
+// readBody reads the size-capped request body into the pooled
+// buf.body, answering 413 past MaxBody and 400 on any other read
+// failure through cd.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, cd codec, buf *queryBuf) bool {
+	var err error
+	if buf.body, err = readBodyInto(buf.body, w, r, s.opts.MaxBody); err != nil {
+		cd.writeErr(w, bodyStatus(err), fmt.Sprintf("reading request: %v", err))
 		return false
 	}
 	return true
 }
 
-// decodeBatch reads a size-capped body and funnels it through the
-// wire-level DecodeBatchRequest (the fuzzed entry point), answering 400
-// for malformed requests and 413 for over-limit ones.
-func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) (BatchRequest, *lattice.Window, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, status, fmt.Sprintf("reading request: %v", err))
-		return BatchRequest{}, nil, false
+// bodyStatus maps a request-body read failure to its HTTP status.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
 	}
-	req, win, err := DecodeBatchRequest(body, Limits{MaxBatch: s.opts.MaxBatch, MaxWindow: s.opts.MaxWindow})
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrLimit) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, status, err.Error())
-		return BatchRequest{}, nil, false
-	}
-	return req, win, true
+	return http.StatusBadRequest
 }
 
-// getPlan serves the spec through the registry, mapping failures to
-// status codes: malformed specs are 400, inexact prototiles 422,
-// anything else 500.
-func (s *Server) getPlan(w http.ResponseWriter, spec PlanSpec) (*core.Plan, bool) {
-	plan, err := s.reg.GetSpec(spec)
-	if err == nil {
-		return plan, true
+// plan resolves a plan reference, answering failures through cd: a
+// signature is a pure cache lookup (404 on a miss, so the client
+// re-sends the spec form), a spec compiles through the registry.
+func (s *Server) plan(w http.ResponseWriter, cd codec, ref BinPlanRef) (*core.Plan, bool) {
+	if ref.Signature != "" {
+		plan, ok := s.reg.Lookup(ref.Signature)
+		if !ok {
+			cd.writeErr(w, http.StatusNotFound,
+				fmt.Sprintf("unknown plan signature %q: re-send the full plan spec", ref.Signature))
+		}
+		return plan, ok
 	}
-	writeErr(w, planErrStatus(err), err.Error())
-	return nil, false
+	plan, err := s.reg.GetSpec(ref.Spec)
+	if err != nil {
+		cd.writeErr(w, planErrStatus(err), err.Error())
+		return nil, false
+	}
+	return plan, true
 }
 
-// planErrStatus maps a plan-compilation failure to its HTTP status
-// (shared by the JSON and binary plan resolvers).
+// planErrStatus maps a plan-compilation failure to its HTTP status:
+// malformed specs are 400, inexact prototiles 422, anything else 500.
 func planErrStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrSpec):
@@ -630,6 +602,131 @@ func planErrStatus(err error) int {
 		return http.StatusUnprocessableEntity
 	}
 	return http.StatusInternalServerError
+}
+
+// codec is one wire format of the batch, mutate, and subscribe
+// endpoints: JSON (jsonCodec) or binary frames (binCodec). instrument
+// picks it once per request from the Content-Type and the handlers
+// speak to the client only through it, so each endpoint has one
+// handler for both formats. Requests decode into the codec-neutral
+// commands BinBatch, BinMutate, and BinSubscribe.
+type codec interface {
+	// decodeBatch parses a request for the slots (may false) or
+	// may-broadcast (may true) endpoint; its points alias sc.
+	decodeBatch(body []byte, may bool, tr *reqTrace, sc *BinScratch) (BinBatch, error)
+	// decodeMutate parses a mutate request.
+	decodeMutate(body []byte, tr *reqTrace) (BinMutate, error)
+	// decodeSubscribe parses a subscribe request; the result does not
+	// alias body.
+	decodeSubscribe(body []byte, tr *reqTrace) (BinSubscribe, error)
+	// writeErr answers a failed request.
+	writeErr(w http.ResponseWriter, status int, msg string)
+	// batchHead, slotsChunk or mayChunk, and batchEnd write a batch
+	// answer through st; a chunk returns false once the client is gone.
+	batchHead(st *stream, m int, t int64, total int)
+	slotsChunk(st *stream, slots []int32) bool
+	mayChunk(st *stream, flags []bool) bool
+	batchEnd(st *stream)
+	// writeMutate answers a mutate request with its session result.
+	writeMutate(w http.ResponseWriter, status int, resp MutateResponse)
+	// subHello, subDelta, and subBye write and flush one subscription
+	// element each; false means the client is gone.
+	subHello(st *stream, h SubscribeHello) bool
+	subDelta(st *stream, d *Delta) bool
+	subBye(st *stream, epoch uint64, reason string)
+}
+
+// stream is one response in flight. The binary codec frames into e and
+// writes out past binFlushBytes (a batch answer) or per element (a
+// subscription); the JSON codec collects a batch answer in buf until
+// batchEnd and encodes subscription elements with enc. Subscriptions
+// flush every element through rc.
+type stream struct {
+	w     http.ResponseWriter
+	rc    *http.ResponseController
+	e     *binwire.Buffer // binary only; returned by release
+	enc   *json.Encoder
+	buf   *queryBuf
+	err   error // first write failure; sticky (the client hung up)
+	wrote bool  // the binary response has begun
+	may   bool
+	m     int
+	t     int64
+}
+
+// release returns the binary encode buffer to its pool.
+func (st *stream) release() {
+	if st.e != nil {
+		binwire.Put(st.e)
+	}
+}
+
+// jsonCodec is the JSON wire format: the Decode*Request funnels, one
+// application/json reply per request, and an application/x-ndjson
+// subscription stream.
+type jsonCodec struct{ lim Limits }
+
+func (c jsonCodec) decodeBatch(body []byte, may bool, _ *reqTrace, sc *BinScratch) (BinBatch, error) {
+	req, win, err := DecodeBatchRequest(body, c.lim)
+	if err != nil {
+		return BinBatch{}, err
+	}
+	out := BinBatch{Kind: binwire.FrameBatchSlots, Plan: BinPlanRef{Spec: req.Plan}, T: req.T}
+	if may {
+		out.Kind = binwire.FrameBatchMay
+	}
+	if win != nil {
+		out.Window, out.UseWindow = *win, true
+		return out, nil
+	}
+	// The points alias the decoded coordinate arrays, not copies.
+	sc.pts = sc.pts[:0]
+	for _, p := range req.Points {
+		sc.pts = append(sc.pts, lattice.Point(p))
+	}
+	out.Points = sc.pts
+	return out, nil
+}
+
+func (c jsonCodec) decodeMutate(body []byte, _ *reqTrace) (BinMutate, error) {
+	req, win, events, err := DecodeMutateRequest(body, c.lim)
+	if err != nil {
+		return BinMutate{}, err
+	}
+	out := BinMutate{Plan: BinPlanRef{Spec: req.Plan}, Window: win, Full: req.Full, Events: events}
+	if req.Epoch != nil {
+		out.Epoch, out.HasEpoch = *req.Epoch, true
+	}
+	return out, nil
+}
+
+func (jsonCodec) writeErr(w http.ResponseWriter, status int, msg string) { writeErr(w, status, msg) }
+
+func (jsonCodec) batchHead(st *stream, m int, t int64, _ int) {
+	st.m, st.t = m, t
+	st.buf.allSlots, st.buf.allMay = st.buf.allSlots[:0], st.buf.allMay[:0]
+}
+
+func (jsonCodec) slotsChunk(st *stream, slots []int32) bool {
+	st.buf.allSlots = append(st.buf.allSlots, slots...)
+	return true
+}
+
+func (jsonCodec) mayChunk(st *stream, flags []bool) bool {
+	st.buf.allMay = append(st.buf.allMay, flags...)
+	return true
+}
+
+func (jsonCodec) batchEnd(st *stream) {
+	if st.may {
+		writeJSON(st.w, http.StatusOK, MayResponse{M: st.m, T: st.t, May: st.buf.allMay})
+		return
+	}
+	writeJSON(st.w, http.StatusOK, SlotsResponse{M: st.m, Slots: st.buf.allSlots})
+}
+
+func (jsonCodec) writeMutate(w http.ResponseWriter, status int, resp MutateResponse) {
+	writeJSON(w, status, resp)
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

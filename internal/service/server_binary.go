@@ -1,13 +1,13 @@
 package service
 
-// Binary HTTP handlers: the serving hot path under Content-Type
-// negotiation. A request carrying BinaryContentType on the batch or
-// mutate endpoints is decoded by the binary funnels and answered as a
-// binary frame sequence streamed in bounded flushes — a 1M-point
-// window answer goes out as ~64 chunk frames through one pooled
-// buffer, never materializing at once. The JSON handlers and these
-// share the engine and the mutate session core; only the codec
-// differs, so the two formats cannot drift semantically.
+// Binary codec of the batch and mutate endpoints: binCodec, selected
+// when a request carries BinaryContentType. Requests go through the
+// binary decode funnels (after an optional leading trace-extension
+// frame); a batch answer goes out as a frame sequence streamed in
+// bounded flushes — a 1M-point window answer leaves as ~64 chunk frames
+// through one pooled buffer, never materializing at once. The handlers
+// in server.go drive this codec and the JSON one alike, so the two
+// formats cannot drift semantically.
 
 import (
 	"errors"
@@ -15,9 +15,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
-	"tilingsched/internal/core"
+	"tilingsched/internal/obs/trace"
 	"tilingsched/internal/service/binwire"
 )
 
@@ -39,22 +38,6 @@ func isBinaryRequest(r *http.Request) bool {
 	return strings.TrimSpace(ct) == BinaryContentType
 }
 
-// writeBinErr answers a failed binary request: an Error frame (status +
-// message) terminated by an End frame, under the binary content type.
-func writeBinErr(w http.ResponseWriter, status int, msg string) {
-	e := binwire.Get()
-	defer binwire.Put(e)
-	e.BeginFrame(binwire.FrameError)
-	e.Uvarint(uint64(status))
-	e.String(msg)
-	e.EndFrame()
-	e.BeginFrame(binwire.FrameEnd)
-	e.EndFrame()
-	w.Header().Set("Content-Type", BinaryContentType)
-	w.WriteHeader(status)
-	_, _ = w.Write(e.Bytes())
-}
-
 // wireStatus maps a decode-funnel error to its HTTP status: ErrLimit is
 // 413, everything else (ErrSpec, malformed bytes) 400.
 func wireStatus(err error) int {
@@ -64,15 +47,10 @@ func wireStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// limits bundles the server's decode bounds.
-func (s *Server) limits() Limits {
-	return Limits{MaxBatch: s.opts.MaxBatch, MaxWindow: s.opts.MaxWindow}
-}
-
 // readBodyInto reads the size-capped request body into dst's backing
 // array (grown as needed, reused across requests via the query-buffer
-// pool) so the binary hot path does not allocate a fresh body buffer
-// per request.
+// pool) so the hot path does not allocate a fresh body buffer per
+// request.
 func readBodyInto(dst []byte, w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, error) {
 	rd := http.MaxBytesReader(w, r.Body, maxBody)
 	dst = dst[:0]
@@ -94,100 +72,87 @@ func readBodyInto(dst []byte, w http.ResponseWriter, r *http.Request, maxBody in
 	}
 }
 
-// readBin reads a binary request body into buf.body, answering binary
-// errors (400 malformed read, 413 oversized) itself.
-func (s *Server) readBin(w http.ResponseWriter, r *http.Request, buf *queryBuf) bool {
-	var err error
-	buf.body, err = readBodyInto(buf.body, w, r, s.opts.MaxBody)
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeBinErr(w, status, fmt.Sprintf("reading request: %v", err))
-		return false
-	}
-	return true
+// binCodec is the binary wire format (BinaryContentType). rec joins
+// the trace context a request carries in a leading trace-extension
+// frame.
+type binCodec struct {
+	lim Limits
+	rec *trace.Recorder
 }
 
-// joinTraceExt strips an optional leading trace-extension frame from a
-// binary request body, joining the propagated context onto tr when the
-// caller sampled and the instrument wrapper has not already started a
-// span (a traceparent header outranks the in-band frame). Returns the
-// remaining bytes — the request frame the decode funnels consume. The
-// returned slice aliases body; callers must not hand it back to a pool
-// while decoding.
-func (s *Server) joinTraceExt(body []byte, ep int, tr *reqTrace) []byte {
-	c, rest := DecodeTraceExt(body)
-	if c.Valid() && c.Sampled && tr.span == nil {
-		tr.span = s.rec.Join(epNames[ep], c.TraceID, c.Parent)
+// join strips an optional leading trace-extension frame from a request
+// body, joining the propagated context onto tr when the caller sampled
+// and the instrument wrapper has not already started a span (a
+// traceparent header outranks the in-band frame). Returns the request
+// frame the decode funnels consume, aliasing body.
+func (c binCodec) join(body []byte, ep int, tr *reqTrace) []byte {
+	ctx, rest := DecodeTraceExt(body)
+	if ctx.Valid() && ctx.Sampled && tr.span == nil {
+		tr.span = c.rec.Join(epNames[ep], ctx.TraceID, ctx.Parent)
 	}
 	return rest
 }
 
-// planBin resolves a binary plan reference: the signature form is a
-// pure cache lookup (404 on a miss, so the client re-sends the spec),
-// the spec form compiles through the registry with the JSON path's
-// status mapping.
-func (s *Server) planBin(w http.ResponseWriter, ref BinPlanRef) (*core.Plan, bool) {
-	if ref.Signature != "" {
-		plan, ok := s.reg.Lookup(ref.Signature)
-		if !ok {
-			writeBinErr(w, http.StatusNotFound,
-				fmt.Sprintf("unknown plan signature %q: re-send the full plan spec", ref.Signature))
-			return nil, false
-		}
-		return plan, true
+func (c binCodec) decodeBatch(body []byte, may bool, tr *reqTrace, sc *BinScratch) (BinBatch, error) {
+	ep := epSlots
+	if may {
+		ep = epMay
 	}
-	plan, err := s.reg.GetSpec(ref.Spec)
-	if err != nil {
-		writeBinErr(w, planErrStatus(err), err.Error())
-		return nil, false
+	req, err := DecodeBinaryBatch(c.join(body, ep, tr), c.lim, sc)
+	if err == nil && (req.Kind == binwire.FrameBatchMay) != may {
+		err = fmt.Errorf("frame type %#x does not match this endpoint", req.Kind)
 	}
-	return plan, true
+	return req, err
 }
 
-// binStream incrementally writes an encoded frame sequence to the
-// client, flushing whenever the pooled buffer passes binFlushBytes.
-// Write errors stick (the client hung up; nothing more to send).
-type binStream struct {
-	w     http.ResponseWriter
-	e     *binwire.Buffer
-	err   error
-	wrote bool
+func (c binCodec) decodeMutate(body []byte, tr *reqTrace) (BinMutate, error) {
+	return DecodeBinaryMutate(c.join(body, epMutate, tr), c.lim)
 }
 
-// flush writes the buffered frames out if forced or past the flush
-// threshold, returning false once the client is gone.
-func (st *binStream) flush(force bool) bool {
-	if st.err != nil {
-		return false
-	}
-	if !force && st.e.Len() < binFlushBytes {
-		return true
-	}
-	if st.e.Len() == 0 {
-		return true
-	}
-	if !st.wrote {
-		st.w.Header().Set("Content-Type", BinaryContentType)
-		st.wrote = true
-	}
-	_, st.err = st.w.Write(st.e.Bytes())
-	st.e.Reset()
-	return st.err == nil
+// writeErr answers a failed binary request: an Error frame (status +
+// message) terminated by an End frame.
+func (binCodec) writeErr(w http.ResponseWriter, status int, msg string) {
+	e := binwire.Get()
+	defer binwire.Put(e)
+	e.BeginFrame(binwire.FrameError)
+	e.Uvarint(uint64(status))
+	e.String(msg)
+	e.EndFrame()
+	e.BeginFrame(binwire.FrameEnd)
+	e.EndFrame()
+	writeFrames(w, status, e)
 }
 
-// end emits the terminating End frame and flushes everything.
-func (st *binStream) end() {
-	st.e.BeginFrame(binwire.FrameEnd)
+func (binCodec) writeMutate(w http.ResponseWriter, status int, resp MutateResponse) {
+	e := binwire.Get()
+	defer binwire.Put(e)
+	encodeMutateResponse(e, resp)
+	writeFrames(w, status, e)
+}
+
+// writeFrames sends a complete binary reply.
+func writeFrames(w http.ResponseWriter, status int, e *binwire.Buffer) {
+	w.Header().Set("Content-Type", BinaryContentType)
+	w.WriteHeader(status)
+	_, _ = w.Write(e.Bytes())
+}
+
+func (binCodec) batchHead(st *stream, m int, t int64, total int) {
+	st.e = binwire.Get()
+	if st.may {
+		st.e.BeginFrame(binwire.FrameMayHead)
+		st.e.Uvarint(uint64(m))
+		st.e.Varint(t)
+	} else {
+		st.e.BeginFrame(binwire.FrameSlotsHead)
+		st.e.Uvarint(uint64(m))
+	}
+	st.e.Uvarint(uint64(total))
 	st.e.EndFrame()
-	st.flush(true)
 }
 
-// emitSlotsChunk appends one slots chunk frame.
-func (st *binStream) emitSlotsChunk(slots []int32) bool {
+// slotsChunk appends one slots chunk frame.
+func (binCodec) slotsChunk(st *stream, slots []int32) bool {
 	st.e.BeginFrame(binwire.FrameSlotsChunk)
 	st.e.Uvarint(uint64(len(slots)))
 	for _, v := range slots {
@@ -197,9 +162,9 @@ func (st *binStream) emitSlotsChunk(slots []int32) bool {
 	return st.flush(false)
 }
 
-// emitMayChunk appends one bit-packed may chunk frame (LSB-first,
-// eight flags per byte).
-func (st *binStream) emitMayChunk(flags []bool) bool {
+// mayChunk appends one bit-packed may chunk frame (LSB-first, eight
+// flags per byte).
+func (binCodec) mayChunk(st *stream, flags []bool) bool {
 	st.e.BeginFrame(binwire.FrameMayChunk)
 	st.e.Uvarint(uint64(len(flags)))
 	var b byte
@@ -219,164 +184,30 @@ func (st *binStream) emitMayChunk(flags []bool) bool {
 	return st.flush(false)
 }
 
-// handleBatchBin serves one binary batch request (slots when may is
-// false, may-broadcast when true): decode through the fuzzed binary
-// funnel, resolve the plan, pre-validate dimensions so the engine
-// cannot fail mid-stream, then stream head + chunk frames + end.
-func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request, may bool, tr *reqTrace) {
-	decodeStart := time.Now()
-	buf := s.bufs.Get().(*queryBuf)
-	defer s.putBuf(buf)
-	if !s.readBin(w, r, buf) {
-		return
-	}
-	sc := s.binScratch.Get().(*BinScratch)
-	defer func() {
-		sc.Release()
-		s.binScratch.Put(sc)
-	}()
-	ep := epSlots
-	if may {
-		ep = epMay
-	}
-	body := s.joinTraceExt(buf.body, ep, tr)
-	req, err := DecodeBinaryBatch(body, s.limits(), sc)
-	if err != nil {
-		writeBinErr(w, wireStatus(err), err.Error())
-		return
-	}
-	want := binwire.FrameBatchSlots
-	if may {
-		want = binwire.FrameBatchMay
-	}
-	if req.Kind != want {
-		writeBinErr(w, http.StatusBadRequest,
-			fmt.Sprintf("frame type %#x does not match this endpoint", req.Kind))
-		return
-	}
-	plan, ok := s.planBin(w, req.Plan)
-	if !ok {
-		return
-	}
-	// Uniform-dimension pre-check: the batch decoder guarantees every
-	// point (or the window) shares one dimension, so checking it here
-	// once means the engine cannot error after the head frame is out.
-	dim := len(req.Points)
-	if req.UseWindow {
-		dim = req.Window.Dim()
-	} else if dim > 0 {
-		dim = len(req.Points[0])
-	}
-	if dim != plan.Tile().Dim() {
-		writeBinErr(w, http.StatusBadRequest,
-			fmt.Sprintf("query dimension %d ≠ plan dimension %d", dim, plan.Tile().Dim()))
-		return
-	}
-	total := len(req.Points)
-	if req.UseWindow {
-		total = req.Window.Size()
-	}
-	s.batchRequests.Add(1)
-	s.batchPoints.Add(int64(total))
-	tr.sig = plan.Signature()
-	tr.batch = total
-	tr.decodeNs = time.Since(decodeStart)
-	// On the streaming path the engine and encode phases interleave
-	// chunk by chunk; the whole stream is accounted to the engine phase
-	// and encodeNs stays zero.
-	engineStart := time.Now()
-	defer func() { tr.engineNs = time.Since(engineStart) }()
-
-	e := binwire.Get()
-	defer binwire.Put(e)
-	st := binStream{w: w, e: e}
-	if may {
-		st.e.BeginFrame(binwire.FrameMayHead)
-		st.e.Uvarint(uint64(plan.Slots()))
-		st.e.Varint(req.T)
-		st.e.Uvarint(uint64(total))
-		st.e.EndFrame()
-		if req.UseWindow {
-			err = QueryWindowMayChunked(plan, req.Window, req.T, binChunkPoints, buf.may[:0], st.emitMayChunk)
-		} else {
-			buf.may, err = QueryMayBroadcast(plan, req.Points, req.T, buf.may[:0])
-			for off := 0; err == nil && off < len(buf.may); off += binChunkPoints {
-				if !st.emitMayChunk(buf.may[off:min(off+binChunkPoints, len(buf.may))]) {
-					return
-				}
-			}
-		}
-	} else {
-		st.e.BeginFrame(binwire.FrameSlotsHead)
-		st.e.Uvarint(uint64(plan.Slots()))
-		st.e.Uvarint(uint64(total))
-		st.e.EndFrame()
-		if req.UseWindow {
-			err = QueryWindowSlotsChunked(plan, req.Window, binChunkPoints, buf.slots[:0], st.emitSlotsChunk)
-		} else {
-			buf.slots, err = QuerySlots(plan, req.Points, buf.slots[:0])
-			for off := 0; err == nil && off < len(buf.slots); off += binChunkPoints {
-				if !st.emitSlotsChunk(buf.slots[off:min(off+binChunkPoints, len(buf.slots))]) {
-					return
-				}
-			}
-		}
-	}
-	if err != nil {
-		// Unreachable after the dimension pre-check, but if the engine
-		// ever fails before the head frame went out, answer properly;
-		// mid-stream the truncated sequence (no End frame) is the signal.
-		if !st.wrote {
-			writeBinErr(w, http.StatusBadRequest, err.Error())
-		}
-		return
-	}
-	st.end()
+// batchEnd emits the terminating End frame and flushes everything.
+func (binCodec) batchEnd(st *stream) {
+	st.e.BeginFrame(binwire.FrameEnd)
+	st.e.EndFrame()
+	st.flush(true)
 }
 
-// handleMutateBin serves one binary mutate request through the same
-// session core as the JSON handler and answers a MutateResult frame
-// (also on epoch conflicts, status 409, so the client sees the current
-// epoch) or an Error frame for plan/session failures.
-func (s *Server) handleMutateBin(w http.ResponseWriter, r *http.Request, tr *reqTrace) {
-	s.mutateRequests.Add(1)
-	decodeStart := time.Now()
-	buf := s.bufs.Get().(*queryBuf)
-	defer s.putBuf(buf)
-	if !s.readBin(w, r, buf) {
-		return
+// flush writes the framed bytes out if forced or past the flush
+// threshold, returning false once the client is gone.
+func (st *stream) flush(force bool) bool {
+	if st.err != nil {
+		return false
 	}
-	body := s.joinTraceExt(buf.body, epMutate, tr)
-	req, err := DecodeBinaryMutate(body, s.limits())
-	if err != nil {
-		writeBinErr(w, wireStatus(err), err.Error())
-		return
+	if !force && st.e.Len() < binFlushBytes {
+		return true
 	}
-	plan, ok := s.planBin(w, req.Plan)
-	if !ok {
-		return
+	if st.e.Len() == 0 {
+		return true
 	}
-	tr.sig = plan.Signature()
-	tr.batch = len(req.Events)
-	tr.decodeNs = time.Since(decodeStart)
-	if req.Window.Dim() != plan.Tile().Dim() {
-		writeBinErr(w, http.StatusBadRequest,
-			fmt.Sprintf("window dimension %d ≠ plan dimension %d", req.Window.Dim(), plan.Tile().Dim()))
-		return
+	if !st.wrote {
+		st.w.Header().Set("Content-Type", BinaryContentType)
+		st.wrote = true
 	}
-	engineStart := time.Now()
-	resp, status, cerr := s.mutateCore(plan, req.Window, req.HasEpoch, req.Epoch, req.Full, req.Events, tr.span)
-	tr.engineNs = time.Since(engineStart)
-	if cerr != nil {
-		writeBinErr(w, status, cerr.Error())
-		return
-	}
-	encodeStart := time.Now()
-	e := binwire.Get()
-	defer binwire.Put(e)
-	encodeMutateResponse(e, resp)
-	w.Header().Set("Content-Type", BinaryContentType)
-	w.WriteHeader(status)
-	_, _ = w.Write(e.Bytes())
-	tr.encodeNs = time.Since(encodeStart)
+	_, st.err = st.w.Write(st.e.Bytes())
+	st.e.Reset()
+	return st.err == nil
 }

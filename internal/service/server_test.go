@@ -179,6 +179,8 @@ func TestServerErrors(t *testing.T) {
 			Window: &WindowSpec{Lo: []int{5, 5}, Hi: []int{0, 0}}}, http.StatusBadRequest},
 		{"wrong-dimension point", "/v1/slots:batch", BatchRequest{Plan: cross,
 			Points: [][]int{{1, 2, 3}}}, http.StatusBadRequest},
+		{"ragged points", "/v1/maybroadcast:batch", BatchRequest{Plan: cross,
+			Points: [][]int{{1, 2}, {3}}}, http.StatusBadRequest},
 		// Unbounded tile-spec parameters must be rejected before any
 		// points materialize (resource-exhaustion guard).
 		{"huge rect tile", "/v1/plan", PlanRequest{Plan: PlanSpec{Tile: TileSpec{Name: "rect:1000000:1000000"}}}, http.StatusBadRequest},

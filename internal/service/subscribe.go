@@ -15,9 +15,7 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -105,10 +103,7 @@ type Delta struct {
 
 	// trace is the mutate request's sampled trace, when it drew one:
 	// each subscriber delivery appends a deliver span to it, completing
-	// the mutate→WAL→publish→deliver span tree (DESIGN.md §14). A very
-	// late delivery may stamp a trace the ring has since recycled —
-	// race-safe (the trace's own mutex covers the append) and benign
-	// for debug tooling, documented rather than defended against.
+	// the mutate→WAL→publish→deliver span tree (DESIGN.md §14).
 	trace *trace.Trace
 	// pubNs is the publish stamp on the trace's monotonic clock, the
 	// deliver span's start.
@@ -450,85 +445,66 @@ func fullDeltaLocked(sess *dynSession) *Delta {
 // recordResync tallies one full-resync attach.
 func (s *Server) recordResync() { s.met.subResyncs.Inc() }
 
-// handleSubscribe opens a push stream: decode the request through the
-// subscribe funnel, attach to the session, answer the hello plus any
-// catch-up deltas, then relay published deltas until the client leaves
-// or the server terminates the stream (slow drop, eviction) with a Bye.
-// The response streams indefinitely — the handler clears the server's
-// write deadline for this response and flushes per delta.
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, tr *reqTrace) {
-	if isBinaryRequest(r) {
-		s.handleSubscribeBin(w, r, tr)
-		return
-	}
+// handleSubscribe opens a push stream in either codec: decode the
+// request, attach to the session, answer the hello plus any catch-up
+// deltas, then relay published deltas until the client leaves or the
+// server terminates the stream (slow drop, eviction) with a bye.
+// Failures before the hello answer an error reply; mid-stream failures
+// end the stream without a bye (the truncation is the client's
+// signal). The response streams indefinitely, so the handler clears the
+// server's write deadline for it and flushes per element.
+func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, cd codec, tr *reqTrace) {
 	decodeStart := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, status, fmt.Sprintf("reading request: %v", err))
+	buf := s.bufs.Get().(*queryBuf)
+	if !s.readBody(w, r, cd, buf) {
+		s.bufs.Put(buf)
 		return
 	}
-	req, win, err := DecodeSubscribeRequest(body, s.limits())
+	req, err := cd.decodeSubscribe(buf.body, tr)
+	// The request does not alias the body: give the buffer back before
+	// a stream that may last for hours.
+	s.bufs.Put(buf)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrLimit) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, status, err.Error())
+		cd.writeErr(w, wireStatus(err), err.Error())
 		return
 	}
-	plan, ok := s.getPlan(w, req.Plan)
+	plan, ok := s.plan(w, cd, req.Plan)
 	if !ok {
 		return
 	}
 	tr.sig = plan.Signature()
 	tr.decodeNs = time.Since(decodeStart)
-	if win.Dim() != plan.Tile().Dim() {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Sprintf("window dimension %d ≠ plan dimension %d", win.Dim(), plan.Tile().Dim()))
+	if req.Window.Dim() != plan.Tile().Dim() {
+		cd.writeErr(w, http.StatusBadRequest,
+			fmt.Sprintf("window dimension %d ≠ plan dimension %d", req.Window.Dim(), plan.Tile().Dim()))
 		return
 	}
-	var epoch uint64
-	if req.Epoch != nil {
-		epoch = *req.Epoch
-	}
-	feed, status, err := s.subscribeAttach(plan, win, req.Epoch != nil, epoch)
+	feed, status, err := s.subscribeAttach(plan, req.Window, req.HasEpoch, req.Epoch)
 	if err != nil {
-		writeErr(w, status, err.Error())
+		cd.writeErr(w, status, err.Error())
 		return
 	}
 	defer feed.Close()
 
-	// The stream outlives any server-level write timeout; clear the
-	// deadline for this response (best effort — recorders without
-	// deadline support still stream) and flush per element so idle
-	// sensors see each epoch as it happens.
-	rc := http.NewResponseController(w)
-	_ = rc.SetWriteDeadline(time.Time{})
-	w.Header().Set("Content-Type", ndjsonContentType)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	send := func(v any) bool {
-		if err := enc.Encode(v); err != nil {
-			return false
-		}
-		return rc.Flush() == nil
-	}
-	if !send(feed.Hello) {
+	// Best effort: recorders without deadline support still stream.
+	st := stream{w: w, rc: http.NewResponseController(w)}
+	defer st.release()
+	_ = st.rc.SetWriteDeadline(time.Time{})
+	if !cd.subHello(&st, feed.Hello) {
 		return
 	}
 	last := feed.Hello.Epoch
-	for _, d := range feed.Catch {
-		if !send(deltaWire(d)) {
-			return
+	send := func(d *Delta) bool {
+		if !cd.subDelta(&st, d) {
+			return false
 		}
 		s.markDelivered(feed.sub, d)
-		if d.Epoch > last {
-			last = d.Epoch
+		last = max(last, d.Epoch)
+		return true
+	}
+	for _, d := range feed.Catch {
+		if !send(d) {
+			return
 		}
 	}
 	tr.batch = len(feed.Catch)
@@ -537,7 +513,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, tr *req
 		select {
 		case d, open := <-feed.C:
 			if !open {
-				_ = send(SubscribeDelta{Epoch: last, Bye: feed.Reason()})
+				cd.subBye(&st, last, feed.Reason())
 				return
 			}
 			// Skip deltas the catch-up already covered (published while
@@ -545,18 +521,49 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, tr *req
 			if !d.Full && d.Epoch <= last {
 				continue
 			}
-			if !send(deltaWire(d)) {
+			if !send(d) {
 				return
-			}
-			s.markDelivered(feed.sub, d)
-			if d.Epoch > last {
-				last = d.Epoch
 			}
 			tr.batch++
 		case <-ctx.Done():
 			return
 		}
 	}
+}
+
+func (c jsonCodec) decodeSubscribe(body []byte, _ *reqTrace) (BinSubscribe, error) {
+	req, win, err := DecodeSubscribeRequest(body, c.lim)
+	if err != nil {
+		return BinSubscribe{}, err
+	}
+	out := BinSubscribe{Plan: BinPlanRef{Spec: req.Plan}, Window: win}
+	if req.Epoch != nil {
+		out.Epoch, out.HasEpoch = *req.Epoch, true
+	}
+	return out, nil
+}
+
+func (jsonCodec) subHello(st *stream, h SubscribeHello) bool {
+	st.w.Header().Set("Content-Type", ndjsonContentType)
+	st.enc = json.NewEncoder(st.w)
+	return st.encode(h)
+}
+
+func (jsonCodec) subDelta(st *stream, d *Delta) bool { return st.encode(deltaWire(d)) }
+
+func (jsonCodec) subBye(st *stream, epoch uint64, reason string) {
+	st.encode(SubscribeDelta{Epoch: epoch, Bye: reason})
+}
+
+// encode writes one JSON subscription element and flushes it.
+func (st *stream) encode(v any) bool {
+	if st.err == nil {
+		st.err = st.enc.Encode(v)
+	}
+	if st.err == nil {
+		st.err = st.rc.Flush()
+	}
+	return st.err == nil
 }
 
 // ndjsonContentType is the JSON subscription stream's content type:

@@ -1,14 +1,16 @@
 package service
 
 // Binary codec of the push plane (DESIGN.md §13): the FrameSubscribe
-// request grammar and the server→client stream frames (SubHello, Delta,
-// SubBye). The request funnel enforces exactly the contract of
-// DecodeSubscribeRequest (well-formed window within MaxWindow,
-// ErrSpec→400 / ErrLimit→413, never panic) and is fuzzed alongside it
-// by FuzzDecodeSubscribeRequest. The client side is an incremental
-// frame reader over the response body whose allocation is bounded by
-// the bytes actually received — a malicious length prefix or change
-// count cannot amplify allocation (FuzzSubscribeStream pins this).
+// request grammar, the server→client stream frames (SubHello, Delta,
+// SubBye), and binCodec's subscribe methods, through which
+// handleSubscribe writes a binary stream. The request funnel enforces
+// exactly the contract of DecodeSubscribeRequest (well-formed window
+// within MaxWindow, ErrSpec→400 / ErrLimit→413, never panic) and is
+// fuzzed alongside it by FuzzDecodeSubscribeRequest. The client side
+// is an incremental frame reader over the response body whose
+// allocation is bounded by the bytes actually received — a malicious
+// length prefix or change count cannot amplify allocation
+// (FuzzSubscribeStream pins this).
 
 import (
 	"bufio"
@@ -18,8 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
-	"time"
 
 	"tilingsched/internal/lattice"
 	"tilingsched/internal/service/binwire"
@@ -207,98 +207,35 @@ func decodeDeltaFrame(r *binwire.Reader) (SubscribeDelta, error) {
 	return d, nil
 }
 
-// handleSubscribeBin is the binary-codec subscribe handler: same attach
-// and relay logic as handleSubscribe, framed as SubHello, Delta*, and —
-// on server-side termination — SubBye + End. Pre-stream failures answer
-// an Error frame; mid-stream failures end the stream without an End
-// frame (the truncation is the client's signal, as on the batch path).
-func (s *Server) handleSubscribeBin(w http.ResponseWriter, r *http.Request, tr *reqTrace) {
-	decodeStart := time.Now()
-	buf := s.bufs.Get().(*queryBuf)
-	defer s.putBuf(buf)
-	if !s.readBin(w, r, buf) {
-		return
-	}
-	body := s.joinTraceExt(buf.body, epSubscribe, tr)
-	req, err := DecodeBinarySubscribe(body, s.limits())
-	if err != nil {
-		writeBinErr(w, wireStatus(err), err.Error())
-		return
-	}
-	plan, ok := s.planBin(w, req.Plan)
-	if !ok {
-		return
-	}
-	tr.sig = plan.Signature()
-	tr.decodeNs = time.Since(decodeStart)
-	if req.Window.Dim() != plan.Tile().Dim() {
-		writeBinErr(w, http.StatusBadRequest,
-			fmt.Sprintf("window dimension %d ≠ plan dimension %d", req.Window.Dim(), plan.Tile().Dim()))
-		return
-	}
-	feed, status, err := s.subscribeAttach(plan, req.Window, req.HasEpoch, req.Epoch)
-	if err != nil {
-		writeBinErr(w, status, err.Error())
-		return
-	}
-	defer feed.Close()
+func (c binCodec) decodeSubscribe(body []byte, tr *reqTrace) (BinSubscribe, error) {
+	return DecodeBinarySubscribe(c.join(body, epSubscribe, tr), c.lim)
+}
 
-	rc := http.NewResponseController(w)
-	_ = rc.SetWriteDeadline(time.Time{})
-	w.Header().Set("Content-Type", BinaryContentType)
-	w.WriteHeader(http.StatusOK)
-	e := binwire.Get()
-	defer binwire.Put(e)
-	send := func() bool {
-		if _, err := w.Write(e.Bytes()); err != nil {
-			return false
-		}
-		e.Reset()
-		return rc.Flush() == nil
+func (binCodec) subHello(st *stream, h SubscribeHello) bool {
+	st.e = binwire.Get()
+	encodeSubHello(st.e, h)
+	return st.push()
+}
+
+func (binCodec) subDelta(st *stream, d *Delta) bool {
+	encodeDeltaFrame(st.e, d)
+	return st.push()
+}
+
+// subBye ends the stream with a SubBye frame and an End frame.
+func (binCodec) subBye(st *stream, epoch uint64, reason string) {
+	encodeSubBye(st.e, epoch, reason)
+	st.e.BeginFrame(binwire.FrameEnd)
+	st.e.EndFrame()
+	st.push()
+}
+
+// push writes out the framed subscription elements and flushes them.
+func (st *stream) push() bool {
+	if st.flush(true) {
+		st.err = st.rc.Flush()
 	}
-	encodeSubHello(e, feed.Hello)
-	if !send() {
-		return
-	}
-	last := feed.Hello.Epoch
-	for _, d := range feed.Catch {
-		encodeDeltaFrame(e, d)
-		if !send() {
-			return
-		}
-		s.markDelivered(feed.sub, d)
-		if d.Epoch > last {
-			last = d.Epoch
-		}
-	}
-	tr.batch = len(feed.Catch)
-	ctx := r.Context()
-	for {
-		select {
-		case d, open := <-feed.C:
-			if !open {
-				encodeSubBye(e, last, feed.Reason())
-				e.BeginFrame(binwire.FrameEnd)
-				e.EndFrame()
-				send()
-				return
-			}
-			if !d.Full && d.Epoch <= last {
-				continue
-			}
-			encodeDeltaFrame(e, d)
-			if !send() {
-				return
-			}
-			s.markDelivered(feed.sub, d)
-			if d.Epoch > last {
-				last = d.Epoch
-			}
-			tr.batch++
-		case <-ctx.Done():
-			return
-		}
-	}
+	return st.err == nil
 }
 
 // --- Client-side stream reader --------------------------------------------

@@ -304,8 +304,9 @@ func (l Limits) withDefaults() Limits {
 
 // DecodeBatchRequest parses a batch request body and enforces its
 // structural contract: valid JSON, exactly one of points and window set,
-// the batch within lim.MaxBatch, and the window shorthand well-formed
-// and within lim.MaxWindow points. On success the validated window (nil
+// the batch within lim.MaxBatch and its points of one dimension in
+// 1..maxTileDim, and the window shorthand well-formed and within
+// lim.MaxWindow points. On success the validated window (nil
 // for explicit-point batches) is returned alongside the request.
 // Violations yield errors wrapping ErrSpec (malformed, 400) or ErrLimit
 // (too large, 413).
@@ -320,6 +321,13 @@ func DecodeBatchRequest(data []byte, lim Limits) (BatchRequest, *lattice.Window,
 		if len(req.Points) > lim.MaxBatch {
 			return BatchRequest{}, nil, fmt.Errorf("%w: batch of %d points exceeds limit %d",
 				ErrLimit, len(req.Points), lim.MaxBatch)
+		}
+		dim := len(req.Points[0])
+		for i, p := range req.Points {
+			if len(p) != dim || dim == 0 || dim > maxTileDim {
+				return BatchRequest{}, nil, fmt.Errorf("%w: point %d has dimension %d, want one dimension in 1..%d",
+					ErrSpec, i, len(p), maxTileDim)
+			}
 		}
 		return req, nil, nil
 	case req.Window != nil && len(req.Points) == 0:

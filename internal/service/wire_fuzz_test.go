@@ -16,8 +16,8 @@ import (
 
 // FuzzDecodeBatchRequest checks that batch decoding never panics and
 // that every accepted request satisfies the structural contract:
-// exactly one of points/window, batch within MaxBatch, window expansion
-// within MaxWindow.
+// exactly one of points/window, batch within MaxBatch and of one point
+// dimension, window expansion within MaxWindow.
 func FuzzDecodeBatchRequest(f *testing.F) {
 	seeds := []string{
 		`{"plan":{"tile":{"name":"cross:2:1"}},"points":[[3,4],[0,0]]}`,
@@ -54,6 +54,15 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 			}
 			if len(req.Points) > lim.MaxBatch {
 				t.Fatalf("accepted batch of %d over limit %d", len(req.Points), lim.MaxBatch)
+			}
+			dim := len(req.Points[0])
+			if dim < 1 || dim > maxTileDim {
+				t.Fatalf("accepted point dimension %d", dim)
+			}
+			for i, p := range req.Points {
+				if len(p) != dim {
+					t.Fatalf("point %d has dimension %d ≠ %d", i, len(p), dim)
+				}
 			}
 		} else {
 			if win == nil {
