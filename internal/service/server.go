@@ -630,22 +630,23 @@ type codec interface {
 	// writeMutate answers a mutate request with its session result.
 	writeMutate(w http.ResponseWriter, status int, resp MutateResponse)
 	// subHello, subDelta, and subBye write and flush one subscription
-	// element each; false means the client is gone.
+	// element each; false means the client is gone. subDelta writes the
+	// delta's shared, already-encoded frame.
 	subHello(st *stream, h SubscribeHello) bool
 	subDelta(st *stream, d *Delta) bool
 	subBye(st *stream, epoch uint64, reason string)
 }
 
-// stream is one response in flight. The binary codec frames into e and
-// writes out past binFlushBytes (a batch answer) or per element (a
-// subscription); the JSON codec collects a batch answer in buf until
-// batchEnd and encodes subscription elements with enc. Subscriptions
-// flush every element through rc.
+// stream is one response in flight. For a batch answer the binary
+// codec frames into e and writes out past binFlushBytes, and the JSON
+// codec collects the answer in buf until batchEnd. A subscription holds
+// no encode state while it waits: each element arrives complete (a
+// Delta's shared frame, or a hello or bye encoded on the spot) and is
+// written and flushed through rc in one send.
 type stream struct {
 	w     http.ResponseWriter
 	rc    *http.ResponseController
-	e     *binwire.Buffer // binary only; returned by release
-	enc   *json.Encoder
+	e     *binwire.Buffer // binary batch only; returned by release
 	buf   *queryBuf
 	err   error // first write failure; sticky (the client hung up)
 	wrote bool  // the binary response has begun

@@ -11,9 +11,11 @@ package service
 // frame. A subscriber arriving with a stale epoch is caught up from the
 // persisted WAL (§12) when the gap is covered, and answered with a full
 // resync snapshot otherwise. Lock order: sess.mu → subHub.mu → table.mu
-// (publish runs under the session lock; detach takes only the hub lock).
+// (publish runs under the session lock; detach and hangup take only the
+// hub lock).
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -83,8 +85,11 @@ type SubscribeDelta struct {
 // Delta is the fan-out unit of the push plane: one epoch's slot changes
 // (or, with Full set, a complete assignment snapshot), shared immutably
 // by every subscriber queue it is published to. In-process subscribers
-// (Server.Subscribe) receive *Delta directly; the wire handlers render
-// it as a SubscribeDelta line or a FrameDelta frame.
+// (Server.Subscribe) receive *Delta directly and pay no encoding. The
+// wire relays write its stream element — a SubscribeDelta line or a
+// FrameDelta frame — which the first relay of each codec encodes and
+// every other relay of that codec writes as the same shared bytes, so an
+// epoch costs one encode per codec, not one per subscriber.
 type Delta struct {
 	// Epoch is the session epoch this delta produces.
 	Epoch uint64
@@ -108,6 +113,20 @@ type Delta struct {
 	// pubNs is the publish stamp on the trace's monotonic clock, the
 	// deliver span's start.
 	pubNs int64
+
+	// jsonEl and binEl are the delta's stream elements in each codec,
+	// encoded on first use under their Once (outside the session lock:
+	// a codec without subscribers costs nothing) and read-only after.
+	jsonOnce, binOnce sync.Once
+	jsonEl, binEl     []byte
+}
+
+// jsonFrame returns d's ndjson stream element: the bytes
+// json.Encoder.Encode(deltaWire(d)) writes, encoded on the first call
+// and shared by every later caller. Safe for concurrent use.
+func (d *Delta) jsonFrame() []byte {
+	d.jsonOnce.Do(func() { d.jsonEl = jsonLine(deltaWire(d)) })
+	return d.jsonEl
 }
 
 // subscriber is one attached stream: a bounded delta queue plus the
@@ -146,7 +165,8 @@ const propSampleMask = 7
 // subHub is a session's subscriber set. Attach and publish run under
 // the owning session's mutex (hub lock nested inside), so a subscriber
 // can never miss the epoch it attached at; detach takes only the hub
-// lock, so a disconnecting client never touches the mutate path.
+// lock, and so does hangup, so a disconnecting client never touches
+// the mutate path.
 type subHub struct {
 	mu   sync.Mutex
 	subs map[*subscriber]struct{}
@@ -168,7 +188,7 @@ func (h *subHub) attach(sub *subscriber, max int) bool {
 
 // detach removes sub if still attached (false when the hub already
 // dropped or closed it). It never closes the channel — the hub owns
-// closes, the streamer owns detach.
+// closes (publish, closeAll, hangup), the streamer owns detach.
 func (h *subHub) detach(sub *subscriber) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -177,6 +197,18 @@ func (h *subHub) detach(sub *subscriber) bool {
 	}
 	delete(h.subs, sub)
 	return true
+}
+
+// hangup ends a relay whose client hung up: if sub is still attached
+// it is removed and its queue closed with no reason, so the relay's
+// receive loop ends without a bye. It takes only the hub lock.
+func (h *subHub) hangup(sub *subscriber) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, ok := h.subs[sub]; ok {
+		delete(h.subs, sub)
+		close(sub.ch)
+	}
 }
 
 // active reports whether any subscriber is attached — the mutate path's
@@ -448,11 +480,14 @@ func (s *Server) recordResync() { s.met.subResyncs.Inc() }
 // handleSubscribe opens a push stream in either codec: decode the
 // request, attach to the session, answer the hello plus any catch-up
 // deltas, then relay published deltas until the client leaves or the
-// server terminates the stream (slow drop, eviction) with a bye.
-// Failures before the hello answer an error reply; mid-stream failures
-// end the stream without a bye (the truncation is the client's
-// signal). The response streams indefinitely, so the handler clears the
-// server's write deadline for it and flushes per element.
+// server terminates the stream (slow drop, eviction) with a bye. The
+// relay waits on its queue alone: a client hang-up reaches it through
+// the hub, which closes the queue with no reason (hangup), so the
+// stream ends without a bye. Failures before the hello answer an error
+// reply; mid-stream failures end the stream without a bye (the
+// truncation is the client's signal). The response streams
+// indefinitely, so the handler clears the server's write deadline for
+// it and flushes per element.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, cd codec, tr *reqTrace) {
 	decodeStart := time.Now()
 	buf := s.bufs.Get().(*queryBuf)
@@ -485,10 +520,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, cd code
 		return
 	}
 	defer feed.Close()
+	stop := context.AfterFunc(r.Context(), func() { feed.sess.hub.hangup(feed.sub) })
+	defer stop()
 
 	// Best effort: recorders without deadline support still stream.
 	st := stream{w: w, rc: http.NewResponseController(w)}
-	defer st.release()
 	_ = st.rc.SetWriteDeadline(time.Time{})
 	if !cd.subHello(&st, feed.Hello) {
 		return
@@ -502,32 +538,30 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, cd code
 		last = max(last, d.Epoch)
 		return true
 	}
-	for _, d := range feed.Catch {
+	// The catch-up deltas (a full resync holds every live sensor, and
+	// its encoded frame) become garbage once sent instead of staying
+	// reachable from feed for the whole stream.
+	catch := feed.Catch
+	feed.Catch = nil
+	for _, d := range catch {
 		if !send(d) {
 			return
 		}
 	}
-	tr.batch = len(feed.Catch)
-	ctx := r.Context()
-	for {
-		select {
-		case d, open := <-feed.C:
-			if !open {
-				cd.subBye(&st, last, feed.Reason())
-				return
-			}
-			// Skip deltas the catch-up already covered (published while
-			// the WAL fallback re-snapshotted at a later epoch).
-			if !d.Full && d.Epoch <= last {
-				continue
-			}
-			if !send(d) {
-				return
-			}
-			tr.batch++
-		case <-ctx.Done():
+	tr.batch = len(catch)
+	for d := range feed.C {
+		// Skip deltas the catch-up already covered (published while
+		// the WAL fallback re-snapshotted at a later epoch).
+		if !d.Full && d.Epoch <= last {
+			continue
+		}
+		if !send(d) {
 			return
 		}
+		tr.batch++
+	}
+	if reason := feed.Reason(); reason != "" {
+		cd.subBye(&st, last, reason)
 	}
 }
 
@@ -545,25 +579,34 @@ func (c jsonCodec) decodeSubscribe(body []byte, _ *reqTrace) (BinSubscribe, erro
 
 func (jsonCodec) subHello(st *stream, h SubscribeHello) bool {
 	st.w.Header().Set("Content-Type", ndjsonContentType)
-	st.enc = json.NewEncoder(st.w)
-	return st.encode(h)
+	return st.send(jsonLine(h))
 }
 
-func (jsonCodec) subDelta(st *stream, d *Delta) bool { return st.encode(deltaWire(d)) }
+func (jsonCodec) subDelta(st *stream, d *Delta) bool { return st.send(d.jsonFrame()) }
 
 func (jsonCodec) subBye(st *stream, epoch uint64, reason string) {
-	st.encode(SubscribeDelta{Epoch: epoch, Bye: reason})
+	st.send(jsonLine(SubscribeDelta{Epoch: epoch, Bye: reason}))
 }
 
-// encode writes one JSON subscription element and flushes it.
-func (st *stream) encode(v any) bool {
+// send writes one complete subscription element and flushes it; false
+// once the client is gone (the first failure is sticky).
+func (st *stream) send(el []byte) bool {
 	if st.err == nil {
-		st.err = st.enc.Encode(v)
+		_, st.err = st.w.Write(el)
 	}
 	if st.err == nil {
 		st.err = st.rc.Flush()
 	}
 	return st.err == nil
+}
+
+// jsonLine renders one ndjson stream element: exactly the bytes
+// json.Encoder.Encode writes for v (HTML-escaped, newline-terminated).
+// The element types hold only numbers, bools, strings and slices of
+// them, which always marshal.
+func jsonLine(v any) []byte {
+	b, _ := json.Marshal(v)
+	return append(b, '\n')
 }
 
 // ndjsonContentType is the JSON subscription stream's content type:

@@ -14,6 +14,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -212,30 +213,36 @@ func (c binCodec) decodeSubscribe(body []byte, tr *reqTrace) (BinSubscribe, erro
 }
 
 func (binCodec) subHello(st *stream, h SubscribeHello) bool {
-	st.e = binwire.Get()
-	encodeSubHello(st.e, h)
-	return st.push()
+	st.w.Header().Set("Content-Type", BinaryContentType)
+	e := binwire.Get()
+	defer binwire.Put(e)
+	encodeSubHello(e, h)
+	return st.send(e.Bytes())
 }
 
-func (binCodec) subDelta(st *stream, d *Delta) bool {
-	encodeDeltaFrame(st.e, d)
-	return st.push()
-}
+func (binCodec) subDelta(st *stream, d *Delta) bool { return st.send(d.binFrame()) }
 
 // subBye ends the stream with a SubBye frame and an End frame.
 func (binCodec) subBye(st *stream, epoch uint64, reason string) {
-	encodeSubBye(st.e, epoch, reason)
-	st.e.BeginFrame(binwire.FrameEnd)
-	st.e.EndFrame()
-	st.push()
+	e := binwire.Get()
+	defer binwire.Put(e)
+	encodeSubBye(e, epoch, reason)
+	e.BeginFrame(binwire.FrameEnd)
+	e.EndFrame()
+	st.send(e.Bytes())
 }
 
-// push writes out the framed subscription elements and flushes them.
-func (st *stream) push() bool {
-	if st.flush(true) {
-		st.err = st.rc.Flush()
-	}
-	return st.err == nil
+// binFrame returns d's binary stream element (the encodeDeltaFrame
+// bytes), encoded on the first call into a transient pooled buffer and
+// shared by every later caller. Safe for concurrent use.
+func (d *Delta) binFrame() []byte {
+	d.binOnce.Do(func() {
+		e := binwire.Get()
+		encodeDeltaFrame(e, d)
+		d.binEl = bytes.Clone(e.Bytes())
+		binwire.Put(e)
+	})
+	return d.binEl
 }
 
 // --- Client-side stream reader --------------------------------------------

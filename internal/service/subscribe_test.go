@@ -36,32 +36,64 @@ func subBody(extra string) string {
 	return b + "}"
 }
 
+// subCodecs are the two wire formats every relay test runs in.
+var subCodecs = []string{"application/json", BinaryContentType}
+
+// subscribeBody renders a subscribe request for the cross:2:1 plan over
+// ws (no resume epoch) in the given codec.
+func subscribeBody(contentType string, ws WindowSpec) []byte {
+	req := SubscribeRequest{Plan: PlanSpec{Tile: TileSpec{Name: "cross:2:1"}}, Window: ws}
+	if contentType == BinaryContentType {
+		var e binwire.Buffer
+		EncodeSubscribeBinary(&e, req, "")
+		return e.Bytes()
+	}
+	body, _ := json.Marshal(req)
+	return body
+}
+
+// errStatus is a subscribe answered with a status other than 200.
+type errStatus struct {
+	code int
+	body string
+}
+
+func (e *errStatus) Error() string { return fmt.Sprintf("subscribe status %d: %s", e.code, e.body) }
+
+// dialStream posts a subscribe body under ctx and wraps the streaming
+// response once its hello has arrived. A non-200 answer is *errStatus.
+func dialStream(ctx context.Context, url, contentType string, body []byte) (*SubscribeStream, *http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, "POST", url+"/v1/plan:subscribe", bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, fmt.Errorf("building request: %w", err)
+	}
+	req.Header.Set("Content-Type", contentType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, nil, fmt.Errorf("POST subscribe: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return nil, nil, &errStatus{code: resp.StatusCode, body: string(data)}
+	}
+	st, err := OpenSubscribeStream(resp.Body, resp.Header.Get("Content-Type"))
+	if err != nil {
+		resp.Body.Close()
+		return nil, nil, fmt.Errorf("opening stream: %w", err)
+	}
+	return st, resp, nil
+}
+
 // openStream posts a subscribe body and wraps the streaming response.
 // The returned cancel aborts the request (client-side disconnect).
 func openStream(t *testing.T, url, contentType string, body []byte) (*SubscribeStream, *http.Response, context.CancelFunc) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "POST", url+"/v1/plan:subscribe", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("building request: %v", err)
-	}
-	req.Header.Set("Content-Type", contentType)
-	resp, err := http.DefaultClient.Do(req)
+	st, resp, err := dialStream(ctx, url, contentType, body)
 	if err != nil {
 		cancel()
-		t.Fatalf("POST subscribe: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		cancel()
-		t.Fatalf("subscribe status %d: %s", resp.StatusCode, data)
-	}
-	st, err := OpenSubscribeStream(resp.Body, resp.Header.Get("Content-Type"))
-	if err != nil {
-		resp.Body.Close()
-		cancel()
-		t.Fatalf("opening stream: %v", err)
+		t.Fatal(err)
 	}
 	return st, resp, cancel
 }
@@ -266,6 +298,85 @@ func TestDeltaFrameRoundTrip(t *testing.T) {
 	}
 	if got.Changed[0].P[0] != -3 || got.Changed[0].P[1] != 7 || got.Changed[1].Slot != -1 {
 		t.Fatalf("changes: %+v", got.Changed)
+	}
+}
+
+// TestDeltaFrameShared pins the shared-encode fan-out: a Delta's stream
+// element in each codec is byte-identical to the per-subscriber encoding
+// (json.Encoder.Encode of its wire form, encodeDeltaFrame), it is
+// encoded once (every call returns the same backing array), and relays
+// requesting it concurrently all get the same bytes.
+func TestDeltaFrameShared(t *testing.T) {
+	cases := []struct {
+		name string
+		mk   func() *Delta
+	}{
+		{"live", func() *Delta {
+			return &Delta{Epoch: 7, M: 5, Alive: 24, PubTime: time.Now(), Changed: []ChangeSpec{
+				{P: []int{1, 2}, Slot: 3}, {P: []int{4, 0}, Slot: 0}}}
+		}},
+		{"full", func() *Delta {
+			return &Delta{Epoch: 9, M: 6, Alive: 3, Full: true, Changed: []ChangeSpec{
+				{P: []int{0, 0}, Slot: 0}, {P: []int{0, 1}, Slot: 4}, {P: []int{2, 1}, Slot: 5}}}
+		}},
+		{"empty changed", func() *Delta { return &Delta{Epoch: 3, M: 5, Alive: 24, Changed: []ChangeSpec{}} }},
+		{"departure", func() *Delta {
+			return &Delta{Epoch: 4, M: 5, Alive: 23, Changed: []ChangeSpec{{P: []int{2, 2}, Slot: -1}}}
+		}},
+		{"negative coordinates", func() *Delta {
+			return &Delta{Epoch: 1 << 40, M: 5, Alive: 25, Changed: []ChangeSpec{
+				{P: []int{-3, -70000}, Slot: 2}, {P: []int{-1, 5}, Slot: -1}}}
+		}},
+		{"3-D", func() *Delta {
+			return &Delta{Epoch: 12, M: 7, Alive: 125, Changed: []ChangeSpec{
+				{P: []int{1, -2, 3}, Slot: 6}, {P: []int{0, 0, -9}, Slot: 1}}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var wantJSON bytes.Buffer
+			if err := json.NewEncoder(&wantJSON).Encode(deltaWire(tc.mk())); err != nil {
+				t.Fatal(err)
+			}
+			var wantBin binwire.Buffer
+			encodeDeltaFrame(&wantBin, tc.mk())
+			codecs := []struct {
+				name  string
+				frame func(*Delta) []byte
+				want  []byte
+			}{
+				{"json", (*Delta).jsonFrame, wantJSON.Bytes()},
+				{"bin", (*Delta).binFrame, wantBin.Bytes()},
+			}
+			for _, c := range codecs {
+				d := tc.mk()
+				first, second := c.frame(d), c.frame(d)
+				if !bytes.Equal(first, c.want) {
+					t.Fatalf("%s frame\n got %q\nwant %q", c.name, first, c.want)
+				}
+				if &first[0] != &second[0] {
+					t.Fatalf("%s frame re-encoded: second call has another backing array", c.name)
+				}
+
+				// Eight relays racing to the first encode of a fresh delta.
+				d = tc.mk()
+				got := make([][]byte, 8)
+				var wg sync.WaitGroup
+				for g := range got {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						got[g] = c.frame(d)
+					}()
+				}
+				wg.Wait()
+				for g, b := range got {
+					if !bytes.Equal(b, c.want) || &b[0] != &got[0][0] {
+						t.Fatalf("%s relay %d got %q (shared %v), want %q", c.name, g, b, &b[0] == &got[0][0], c.want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -658,28 +769,101 @@ func TestSubscriberCap(t *testing.T) {
 	feed2.Close()
 }
 
-// TestSubscribeClientDisconnect pins handler cleanup: cancelling the
-// request context detaches the subscriber and decrements the live
-// gauge.
+// relayTap records the bytes a subscribe handler writes, server side,
+// and closes done when the handler returns. Flush and write deadlines
+// reach the real writer through Unwrap.
+type relayTap struct {
+	http.ResponseWriter
+	mu   sync.Mutex
+	out  bytes.Buffer
+	done chan struct{}
+}
+
+func (rt *relayTap) Write(p []byte) (int, error) {
+	rt.mu.Lock()
+	rt.out.Write(p)
+	rt.mu.Unlock()
+	return rt.ResponseWriter.Write(p)
+}
+
+func (rt *relayTap) Unwrap() http.ResponseWriter { return rt.ResponseWriter }
+
+// TestSubscribeClientDisconnect pins the hang-up path in both codecs:
+// cancelling the request ends the relay through the hub, which frees
+// the subscriber's slot at once — on an idle session capped at one
+// subscriber, a new subscribe is admitted (200, not 503) — and the old
+// stream ends without a bye; the live gauge returns to zero.
 func TestSubscribeClientDisconnect(t *testing.T) {
-	s := NewServer(NewRegistry(8), ServerOptions{})
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-	st, resp, cancel := openStream(t, srv.URL, "application/json", []byte(subBody("")))
-	defer resp.Body.Close()
-	if _, err := st.Next(); err != nil { // the opening resync delta
-		t.Fatalf("reading resync: %v", err)
-	}
-	if live := s.Snapshot().Sessions.Subscribers; live != 1 {
-		t.Fatalf("live subscribers %d, want 1", live)
-	}
-	cancel()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Snapshot().Sessions.Subscribers != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("disconnect did not release the subscriber")
-		}
-		time.Sleep(time.Millisecond)
+	for _, codec := range subCodecs {
+		t.Run(codec, func(t *testing.T) {
+			s := NewServer(NewRegistry(8), ServerOptions{MaxSubscribers: 1})
+			taps := make(chan *relayTap, 1)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				rt := &relayTap{ResponseWriter: w, done: make(chan struct{})}
+				defer close(rt.done)
+				select {
+				case taps <- rt: // the first request: the stream that hangs up
+				default:
+				}
+				s.ServeHTTP(rt, r)
+			}))
+			defer srv.Close()
+			body := subscribeBody(codec, WindowSpec{Lo: []int{0, 0}, Hi: []int{4, 4}})
+			st, resp, cancel := openStream(t, srv.URL, codec, body)
+			defer resp.Body.Close()
+			if _, err := st.Next(); err != nil { // the opening resync delta
+				t.Fatalf("reading resync: %v", err)
+			}
+			if live := s.Snapshot().Sessions.Subscribers; live != 1 {
+				t.Fatalf("live subscribers %d, want 1", live)
+			}
+			cancel()
+
+			// No mutation ever arrives: only the hang-up can free the slot.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				st2, resp2, err := dialStream(context.Background(), srv.URL, codec, body)
+				if err == nil {
+					if st2.Hello().Alive != 25 {
+						t.Fatalf("second hello %+v", st2.Hello())
+					}
+					resp2.Body.Close()
+					break
+				}
+				var es *errStatus
+				if !errors.As(err, &es) || es.code != http.StatusServiceUnavailable {
+					t.Fatalf("resubscribe: %v", err)
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("hang-up did not free the subscriber slot: still 503")
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			rt := <-taps
+			select {
+			case <-rt.done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("relay still running after the hang-up")
+			}
+			old, err := OpenSubscribeStream(bytes.NewReader(rt.out.Bytes()), codec)
+			if err != nil {
+				t.Fatalf("reopening the written stream: %v", err)
+			}
+			if d, err := old.Next(); err != nil || !d.Full {
+				t.Fatalf("written resync delta %+v, %v", d, err)
+			}
+			if d, err := old.Next(); err != io.EOF {
+				t.Fatalf("hung-up stream carries %+v (%v) after its resync, want nothing", d, err)
+			}
+
+			for s.Snapshot().Sessions.Subscribers != 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("disconnect did not release the subscriber")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -687,8 +871,10 @@ func TestSubscribeClientDisconnect(t *testing.T) {
 // attach, read, and detach concurrently with mutators and session
 // evictions, under a queue small enough to force drops. Its assertions
 // are liveness (it finishes — mutate never blocks on a slow queue) and
-// per-stream delta ordering; the race detector does the rest. Runs in
-// -short too: it is the CI race job's main subject.
+// per-stream delta ordering; the race detector does the rest. Beside
+// the in-process feeds, HTTP relay subscribers in both codecs hang up
+// mid-stream, so the hub's hang-up closes race publish, slow drops and
+// evictions. Runs in -short too: it is the CI race job's main subject.
 func TestSubscribeRaceStress(t *testing.T) {
 	s := NewServer(NewRegistry(8), ServerOptions{
 		MaxSessions:    2, // two windows below + churn on a third forces evictions
@@ -713,8 +899,13 @@ func TestSubscribeRaceStress(t *testing.T) {
 		subscribers = 6
 		rounds      = 120
 	)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
 	var wg, mutWG sync.WaitGroup
 	mutDone := make(chan struct{}) // closed when every mutator finishes
+	// churnCtx ends every relay stream still open once churn is over.
+	churnCtx, churnOver := context.WithCancel(context.Background())
+	defer churnOver()
 	for m := 0; m < mutators; m++ {
 		wg.Add(1)
 		mutWG.Add(1)
@@ -738,6 +929,7 @@ func TestSubscribeRaceStress(t *testing.T) {
 	go func() {
 		mutWG.Wait()
 		close(mutDone)
+		churnOver()
 	}()
 	for g := 0; g < subscribers; g++ {
 		wg.Add(1)
@@ -776,7 +968,46 @@ func TestSubscribeRaceStress(t *testing.T) {
 			}
 		}(g)
 	}
+	for g := 0; g < 2*len(subCodecs); g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			codec := subCodecs[g%len(subCodecs)]
+			for i := 0; i < rounds/10; i++ {
+				ctx, hangUp := context.WithCancel(churnCtx)
+				st, resp, err := dialStream(ctx, srv.URL, codec,
+					subscribeBody(codec, windows[(g+i)%len(windows)]))
+				if err != nil {
+					hangUp()
+					var es *errStatus
+					if (errors.As(err, &es) && es.code == http.StatusServiceUnavailable) || ctx.Err() != nil {
+						continue // 503 at the cap, or churn already over
+					}
+					t.Errorf("relay subscriber %d: %v", g, err)
+					return
+				}
+				last := st.Hello().Epoch
+				for reads := 0; reads < 1+i%3; reads++ {
+					d, err := st.Next()
+					if err != nil {
+						break // bye (dropped or evicted), or churn over
+					}
+					if !d.Full && d.Epoch <= last {
+						t.Errorf("relay subscriber %d: epoch %d after %d", g, d.Epoch, last)
+						break
+					}
+					last = d.Epoch
+					if g < len(subCodecs) {
+						time.Sleep(time.Microsecond) // slow reader
+					}
+				}
+				hangUp() // mid-stream: the relay must end through the hub
+				resp.Body.Close()
+			}
+		}(g)
+	}
 	wg.Wait()
+	srv.Close() // waits for every relay handler to return
 	snap := s.Snapshot().Sessions
 	if snap.Subscribers != 0 {
 		t.Fatalf("leaked live subscribers: %+v", snap)

@@ -411,10 +411,20 @@ func jsonMutateAt(x, y int) string {
 	return fmt.Sprintf(tracingMutateBody, x, y)
 }
 
+// discardStream is a flushing response writer that drops every byte.
+type discardStream struct{ h http.Header }
+
+func (w *discardStream) Header() http.Header         { return w.h }
+func (w *discardStream) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardStream) WriteHeader(int)             {}
+func (w *discardStream) Flush()                      {}
+
 // TestUntracedHotPathZeroAlloc is the tracing plane's zero-overhead
 // guard: with sampling off, the per-request trace decision and the
 // per-delivery bookkeeping must not allocate, preserving the
-// instrumented path's 0 allocs/op contract (BENCH baseline).
+// instrumented path's 0 allocs/op contract (BENCH baseline). Relaying
+// an already-encoded delta allocates nothing either, in both codecs:
+// each subscriber writes the delta's shared frame.
 func TestUntracedHotPathZeroAlloc(t *testing.T) {
 	s := NewServer(NewRegistry(2), ServerOptions{}) // sampling off
 	req := httptest.NewRequest("POST", "/v1/slots:batch", nil)
@@ -437,6 +447,22 @@ func TestUntracedHotPathZeroAlloc(t *testing.T) {
 		s.markDelivered(sub, catch)
 	}); n != 0 {
 		t.Fatalf("untraced delivery bookkeeping allocates %v per run, want 0", n)
+	}
+
+	d := &Delta{Epoch: 2, M: 5, Alive: 24, PubTime: time.Now(),
+		Changed: []ChangeSpec{{P: []int{1, 1}, Slot: 3}, {P: []int{2, 0}, Slot: -1}}}
+	d.jsonFrame()
+	d.binFrame()
+	w := &discardStream{h: http.Header{}}
+	st := &stream{w: w, rc: http.NewResponseController(w)}
+	for _, cd := range []codec{jsonCodec{}, binCodec{}} {
+		if n := testing.AllocsPerRun(1000, func() {
+			if !cd.subDelta(st, d) {
+				t.Fatalf("%T relay write failed: %v", cd, st.err)
+			}
+		}); n != 0 {
+			t.Fatalf("%T relay of an encoded delta allocates %v per run, want 0", cd, n)
+		}
 	}
 }
 
