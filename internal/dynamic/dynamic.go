@@ -138,7 +138,8 @@ type Options struct {
 	// needs more colors floats the budget up to what it used.
 	ColorBudget int
 	// CompactThreshold triggers overlay re-freezing when the delta
-	// (added vertices + dead base vertices) exceeds it; 0 means
+	// (added vertices + dead base vertices) has grown by more than it
+	// since the last compaction or restore; 0 means
 	// DefaultCompactThreshold, negative disables auto-compaction.
 	CompactThreshold int
 	// Metrics, when non-nil, receives the mutator's telemetry (event
@@ -147,8 +148,12 @@ type Options struct {
 	Metrics *Metrics
 }
 
-// DefaultCompactThreshold is the overlay size (added vertices plus dead
-// base vertices) beyond which Apply re-freezes the base graph. Tuning it
+// DefaultCompactThreshold is the overlay growth (added vertices plus
+// dead base vertices, beyond what the last compaction or restore left)
+// past which Apply re-freezes the base graph. Growth rather than size:
+// a compaction cannot drop tombstones inside the live bounding box, so
+// a size trigger would rebuild the base on every batch once those
+// alone exceed the threshold. Tuning it
 // trades patch-scan and tombstone-filter overhead against rebuild
 // spikes; see ROADMAP (compaction tuning is an open follow-up).
 const DefaultCompactThreshold = 4096
@@ -162,6 +167,7 @@ type Mutator struct {
 	palette int     // high-water slot count
 	budget  int
 	thresh  int
+	floor   int // overlay size the last compaction or restore left
 	stats   Stats
 	met     *Metrics // nil disables telemetry
 }
@@ -242,21 +248,29 @@ func (m *Mutator) SlotOf(p lattice.Point) (int, error) {
 }
 
 // EachAssignment calls f with every live sensor's position and slot
-// until f returns false — the full-resync path of the service layer.
-// The point is a shared buffer for base vertices; clone to retain.
+// until f returns false — the full-read and resync path of the service
+// layer. The order is ascending vertex id (PointOf): base vertices in
+// window order, then added vertices in join order. The base pass walks
+// the window with an incrementing cursor (Window.Each), so it costs one
+// liveness test per base position and no per-sensor allocation or
+// division. The point passed for a base vertex is a shared buffer that
+// the next call overwrites: clone to retain, never modify.
 func (m *Mutator) EachAssignment(f func(p lattice.Point, slot int) bool) {
-	buf := make(lattice.Point, m.ov.w.Dim())
-	for v := 0; v < m.ov.NumVertices(); v++ {
-		if !m.ov.Alive(v) {
-			continue
+	o := m.ov
+	v, stopped := 0, false
+	o.w.Each(func(p lattice.Point) bool {
+		if o.alive[v/64]&(1<<(v%64)) != 0 && !f(p, int(m.colors[v])) {
+			stopped = true
+			return false
 		}
-		var p lattice.Point
-		if v < m.ov.baseN {
-			p = m.ov.w.PointAtInto(v, buf)
-		} else {
-			p = m.ov.added[v-m.ov.baseN]
-		}
-		if !f(p, int(m.colors[v])) {
+		v++
+		return true
+	})
+	if stopped {
+		return
+	}
+	for k, p := range o.added {
+		if v := o.baseN + k; o.Alive(v) && !f(p, int(m.colors[v])) {
 			return
 		}
 	}
@@ -284,7 +298,7 @@ func (m *Mutator) Apply(events []Event) (Disruption, []SlotChange, error) {
 	// Materialize the deltas before any compaction: the touched set holds
 	// vertex ids, which a compaction renumbers.
 	changed := m.changes(touched, departed)
-	if m.thresh > 0 && m.ov.OverlaySize() > m.thresh {
+	if m.thresh > 0 && m.ov.OverlaySize()-m.floor > m.thresh {
 		compactStart := time.Now()
 		remap, err := m.ov.compact()
 		if err != nil {
@@ -301,6 +315,7 @@ func (m *Mutator) Apply(events []Event) (Disruption, []SlotChange, error) {
 				}
 			}
 			m.colors = fresh
+			m.floor = m.ov.OverlaySize()
 			d.Compacted = true
 			m.stats.Compactions++
 			m.met.recordCompaction(time.Since(compactStart))

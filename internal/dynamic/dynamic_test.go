@@ -201,27 +201,24 @@ func TestMoveAtomicity(t *testing.T) {
 }
 
 // TestEachAssignment walks every live sensor exactly once with its
-// current slot.
+// current slot, in ascending vertex id order (base vertices in window
+// order, then added vertices in join order), before and after a
+// compaction renumbers the ids, and stops when the callback says so.
 func TestEachAssignment(t *testing.T) {
 	w := lattice.CenteredWindow(2, 2)
-	m, plan := crossMutator(t, w, Options{})
-	if _, _, err := m.Apply([]Event{
+	m, plan := crossMutator(t, w, Options{CompactThreshold: 2})
+	if d, _, err := m.Apply([]Event{
 		{Kind: Leave, P: lattice.Pt(0, 0)},
 		{Kind: Join, P: lattice.Pt(3, 3)},
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || d.Compacted {
+		t.Fatalf("apply: %v (compacted %v)", err, d.Compacted)
 	}
+	checkVisitOrder(t, m, "overlay")
 	seen := map[string]int{}
 	m.EachAssignment(func(p lattice.Point, slot int) bool {
-		if _, dup := seen[p.Key()]; dup {
-			t.Fatalf("%v visited twice", p)
-		}
 		seen[p.Key()] = slot
 		return true
 	})
-	if len(seen) != m.AliveCount() {
-		t.Fatalf("visited %d, alive %d", len(seen), m.AliveCount())
-	}
 	if _, ok := seen[lattice.Pt(0, 0).Key()]; ok {
 		t.Fatal("departed sensor visited")
 	}
@@ -229,6 +226,90 @@ func TestEachAssignment(t *testing.T) {
 		t.Fatal("untouched sensor missing")
 	} else if want, _ := plan.SlotOf(lattice.Pt(1, 1)); s != want {
 		t.Fatalf("untouched sensor drifted: %d ≠ %d", s, want)
+	}
+	if d, _, err := m.Apply([]Event{{Kind: Leave, P: lattice.Pt(-1, 1)}}); err != nil || !d.Compacted {
+		t.Fatalf("leave: %v (compacted %v)", err, d.Compacted)
+	}
+	if _, _, err := m.Apply([]Event{{Kind: Join, P: lattice.Pt(-4, 0)}}); err != nil {
+		t.Fatal(err)
+	}
+	checkVisitOrder(t, m, "compacted")
+	calls := 0
+	m.EachAssignment(func(lattice.Point, int) bool {
+		calls++
+		return calls < 3
+	})
+	if calls != 3 {
+		t.Fatalf("callback ran %d times after asking to stop at 3", calls)
+	}
+}
+
+// checkVisitOrder pins EachAssignment's visits to the live vertex ids in
+// ascending order: same positions (PointOf) and slots (SlotOf).
+func checkVisitOrder(t *testing.T, m *Mutator, stage string) {
+	t.Helper()
+	var want []lattice.Point
+	for v := 0; v < m.ov.NumVertices(); v++ {
+		if m.ov.Alive(v) {
+			want = append(want, m.ov.PointOf(v))
+		}
+	}
+	i := 0
+	m.EachAssignment(func(p lattice.Point, slot int) bool {
+		if i >= len(want) || !p.Equal(want[i]) {
+			t.Fatalf("%s: visit %d at %v, want vertex order %v", stage, i, p, want)
+		}
+		if s, err := m.SlotOf(p); err != nil || s != slot {
+			t.Fatalf("%s: %v visited with slot %d, SlotOf %d (%v)", stage, p, slot, s, err)
+		}
+		i++
+		return true
+	})
+	if i != len(want) || i != m.AliveCount() {
+		t.Fatalf("%s: visited %d, %d live ids, alive %d", stage, i, len(want), m.AliveCount())
+	}
+}
+
+// TestCompactionNoThrash: tombstones inside the live bounding box survive
+// a compaction, so once they alone exceed the threshold a size trigger
+// would rebuild the base graph on every later batch. The trigger counts
+// growth since the last compaction instead: a checkerboard of ~4,800
+// interior leaves in a 100×100 window compacts once, and 100 further
+// single-event batches compact no more.
+func TestCompactionNoThrash(t *testing.T) {
+	w, err := lattice.NewWindow(lattice.Pt(0, 0), lattice.Pt(99, 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := crossMutator(t, w, Options{})
+	var leaves []Event
+	for x := 1; x < 99; x++ {
+		for y := 1; y < 99; y++ {
+			if (x+y)%2 == 0 {
+				leaves = append(leaves, Event{Kind: Leave, P: lattice.Pt(x, y)})
+			}
+		}
+	}
+	if len(leaves) <= DefaultCompactThreshold {
+		t.Fatalf("%d tombstones do not exceed the threshold %d", len(leaves), DefaultCompactThreshold)
+	}
+	if _, _, err := m.Apply(leaves); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		ev := Event{Kind: Join, P: leaves[i/2].P}
+		if i%2 == 1 {
+			ev.Kind = Leave
+		}
+		if _, _, err := m.Apply([]Event{ev}); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if c := m.Stats().Compactions; c > 1 {
+		t.Fatalf("%d compactions over 101 batches, want at most 1", c)
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 

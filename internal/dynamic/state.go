@@ -136,6 +136,7 @@ func NewMutatorFromState(dep schedule.Deployment, st State, opts Options) (*Muta
 			ov.setAlive(i, false)
 		}
 	}
+	m.floor = ov.OverlaySize()
 	m.palette = st.Palette
 	m.budget = opts.ColorBudget
 	if m.budget <= 0 {

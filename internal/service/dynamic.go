@@ -137,6 +137,28 @@ type dynSession struct {
 	lastPubNs atomic.Int64
 }
 
+// liveChangesLocked captures the session's complete live assignment, one
+// ChangeSpec per live sensor in EachAssignment order: the payload of a
+// full read and of a subscriber resync. It allocates twice whatever the
+// session size: the change slice, sized to the live count, and one flat
+// coordinate array that every point is cut from with a full slice
+// expression, so no point can grow into its neighbour. The result
+// shares nothing with the mutator. Caller holds sess.mu.
+func liveChangesLocked(sess *dynSession) []ChangeSpec {
+	n, dim := sess.mut.AliveCount(), sess.mut.Overlay().Window().Dim()
+	changed := make([]ChangeSpec, 0, n)
+	flat := make([]int, n*dim)
+	k := 0
+	sess.mut.EachAssignment(func(p lattice.Point, slot int) bool {
+		pt := flat[k : k+dim : k+dim]
+		copy(pt, p)
+		changed = append(changed, ChangeSpec{P: pt, Slot: slot})
+		k += dim
+		return true
+	})
+	return changed
+}
+
 func newSessionTable(capacity int, met *Metrics) *sessionTable {
 	if capacity <= 0 {
 		capacity = DefaultMaxSessions

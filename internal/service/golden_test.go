@@ -180,6 +180,8 @@ func TestWireGolden(t *testing.T) {
 			{Op: "join", P: []int{11, 11}}}}},
 		{"full", MutateRequest{Plan: cross, Window: win, Epoch: epoch(3), Full: true}},
 	}
+	cross3 := PlanSpec{Tile: TileSpec{Name: "cross:3:1"}}
+	win3 := WindowSpec{Lo: []int{0, 0, 0}, Hi: []int{3, 3, 3}}
 
 	for _, c := range goldenCodecs {
 		srv := newTestServer(t, ServerOptions{})
@@ -200,7 +202,18 @@ func TestWireGolden(t *testing.T) {
 			status, ctype, body := postCT(t, srv, "/v1/plan:mutate", c.ctype, c.mut(t, m.req))
 			record(fmt.Sprintf("%s/mutate/%s", c.name, m.name), status, ctype, body)
 		}
-		status, ctype, body := goldenSubscribe(t, c)
+		// A 3-D full read after a mid-window leave and an outside join:
+		// base positions in window order with a hole, then the added one.
+		for _, ev := range []EventSpec{{Op: "leave", P: []int{1, 2, 1}}, {Op: "join", P: []int{5, 5, 5}}} {
+			req := MutateRequest{Plan: cross3, Window: win3, Events: []EventSpec{ev}}
+			if status, _, _ := postCT(t, srv, "/v1/plan:mutate", c.ctype, c.mut(t, req)); status != http.StatusOK {
+				t.Fatalf("%s: 3-D %s: status %d", c.name, ev.Op, status)
+			}
+		}
+		status, ctype, body := postCT(t, srv, "/v1/plan:mutate", c.ctype,
+			c.mut(t, MutateRequest{Plan: cross3, Window: win3, Epoch: epoch(2), Full: true}))
+		record(c.name+"/mutate/full3d", status, ctype, body)
+		status, ctype, body = goldenSubscribe(t, c)
 		record(c.name+"/subscribe/evicted", status, ctype, body)
 	}
 

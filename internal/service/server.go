@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -352,7 +353,7 @@ func (s *Server) mutateCore(plan *core.Plan, win lattice.Window, hasEpoch bool, 
 			// Fan the applied batch out to subscribers while still under
 			// the session lock, so every subscriber queue observes epochs
 			// in order. The delta owns its change slice (the response's
-			// may be rewritten by the full branch below); publishing
+			// may be replaced by the full branch below); publishing
 			// never blocks — a full queue drops its subscriber instead.
 			if sess.hub.active() {
 				fanStart := time.Now()
@@ -395,11 +396,7 @@ func (s *Server) mutateCore(plan *core.Plan, win lattice.Window, hasEpoch bool, 
 		}
 	}
 	if full {
-		resp.Changed = resp.Changed[:0]
-		sess.mut.EachAssignment(func(p lattice.Point, slot int) bool {
-			resp.Changed = append(resp.Changed, ChangeSpec{P: p.Clone(), Slot: slot})
-			return true
-		})
+		resp.Changed = liveChangesLocked(sess)
 	}
 	resp.Epoch = sess.epoch
 	resp.M = sess.mut.Slots()
@@ -726,8 +723,91 @@ func (jsonCodec) batchEnd(st *stream) {
 	writeJSON(st.w, http.StatusOK, SlotsResponse{M: st.m, Slots: st.buf.allSlots})
 }
 
+// jsonBufs recycles the JSON mutate reply's byte slice across requests.
+var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeMutate appends the reply into a pooled byte slice and sends it
+// with one Write: no reflection, and no per-change allocation on a full
+// read. The bytes equal json.NewEncoder(w).Encode(resp).
 func (jsonCodec) writeMutate(w http.ResponseWriter, status int, resp MutateResponse) {
-	writeJSON(w, status, resp)
+	bp := jsonBufs.Get().(*[]byte)
+	b := appendMutateJSON((*bp)[:0], resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(b) // the status line is already out; nothing more to do
+	*bp = b
+	jsonBufs.Put(bp)
+}
+
+// appendMutateJSON appends resp to b as json.Encoder.Encode writes it:
+// MutateResponse's field order, "changed":null for a nil slice (and
+// "p":null for a nil point), error omitted when empty, and a trailing
+// newline. Strings go through json.Marshal, which keeps its HTML
+// escaping and invalid-UTF-8 replacement; numbers through strconv, as
+// encoding/json formats them.
+func appendMutateJSON(b []byte, resp MutateResponse) []byte {
+	b = append(b, `{"signature":`...)
+	b = appendJSONString(b, resp.Signature)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendUint(b, resp.Epoch, 10)
+	b = append(b, `,"m":`...)
+	b = strconv.AppendInt(b, int64(resp.M), 10)
+	b = append(b, `,"alive":`...)
+	b = strconv.AppendInt(b, int64(resp.Alive), 10)
+	d := resp.Disruption
+	b = append(b, `,"disruption":{"events":`...)
+	b = strconv.AppendInt(b, int64(d.Events), 10)
+	b = append(b, `,"joined":`...)
+	b = strconv.AppendInt(b, int64(d.Joined), 10)
+	b = append(b, `,"departed":`...)
+	b = strconv.AppendInt(b, int64(d.Departed), 10)
+	b = append(b, `,"reassigned":`...)
+	b = strconv.AppendInt(b, int64(d.Reassigned), 10)
+	b = append(b, `,"colors_delta":`...)
+	b = strconv.AppendInt(b, int64(d.ColorsDelta), 10)
+	b = append(b, `,"full_recolor":`...)
+	b = strconv.AppendBool(b, d.FullRecolor)
+	b = append(b, `,"compacted":`...)
+	b = strconv.AppendBool(b, d.Compacted)
+	b = append(b, `},"changed":`...)
+	if resp.Changed == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, ch := range resp.Changed {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"p":`...)
+			if ch.P == nil {
+				b = append(b, "null"...)
+			} else {
+				b = append(b, '[')
+				for j, c := range ch.P {
+					if j > 0 {
+						b = append(b, ',')
+					}
+					b = strconv.AppendInt(b, int64(c), 10)
+				}
+				b = append(b, ']')
+			}
+			b = append(b, `,"slot":`...)
+			b = strconv.AppendInt(b, int64(ch.Slot), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if resp.Error != "" {
+		b = append(b, `,"error":`...)
+		b = appendJSONString(b, resp.Error)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendJSONString appends s as encoding/json quotes it.
+func appendJSONString(b []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(b, q...)
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

@@ -465,13 +465,8 @@ func (s *Server) subscribeAttach(plan *core.Plan, win lattice.Window, hasEpoch b
 // fullDeltaLocked captures a resync delta — the complete live
 // assignment at the session's current epoch. Caller holds sess.mu.
 func fullDeltaLocked(sess *dynSession) *Delta {
-	d := &Delta{Epoch: sess.epoch, M: sess.mut.Slots(), Alive: sess.mut.AliveCount(), Full: true}
-	d.Changed = make([]ChangeSpec, 0, sess.mut.AliveCount())
-	sess.mut.EachAssignment(func(p lattice.Point, slot int) bool {
-		d.Changed = append(d.Changed, ChangeSpec{P: p.Clone(), Slot: slot})
-		return true
-	})
-	return d
+	return &Delta{Epoch: sess.epoch, M: sess.mut.Slots(), Alive: sess.mut.AliveCount(), Full: true,
+		Changed: liveChangesLocked(sess)}
 }
 
 // recordResync tallies one full-resync attach.
